@@ -13,7 +13,6 @@ from .evaluation import (
     CodimEngine,
     CocharacterTable,
     ExactMode,
-    ModularMode,
     SampledMode,
     capelli_holds,
     cocharacter,

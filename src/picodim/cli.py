@@ -26,7 +26,6 @@ from .evaluation import (
     CodimEngine,
     CocharacterTable,
     ExactMode,
-    ModularMode,
     SampledMode,
 )
 from .exponent import (
@@ -50,24 +49,19 @@ SCHEMA_VERSION = 1
 
 @dataclass(frozen=True)
 class RunConfig:
-    mode: str = "exact"  # exact | modular | sampled
-    prime_bits: int = 31
+    mode: str = "exact"  # exact | sampled
     seed: int = 0
-    max_n: int = 6
     tuple_budget: int = DEFAULT_TUPLE_BUDGET
     sample_count: int = 1000
-    parallelism: int = 1
     output_format: str = "json"  # json | csv | text
 
     def __post_init__(self):
-        if self.max_n < 1 or self.tuple_budget < 1 or self.parallelism < 1:
-            raise MalformedInputError("max-n, budget and jobs must be positive")
+        if self.tuple_budget < 1 or self.sample_count < 1:
+            raise MalformedInputError("budget and samples must be positive")
 
     def eval_mode(self):
         if self.mode == "exact":
             return ExactMode()
-        if self.mode == "modular":
-            return ModularMode(seed=self.seed)
         if self.mode == "sampled":
             return SampledMode(count=self.sample_count, seed=self.seed)
         raise MalformedInputError(f"unknown mode {self.mode!r}")
@@ -76,10 +70,8 @@ class RunConfig:
         return {
             "mode": self.mode,
             "seed": self.seed,
-            "prime_bits": self.prime_bits,
             "tuple_budget": self.tuple_budget,
             "sample_count": self.sample_count,
-            "jobs": self.parallelism,
         }
 
 
@@ -90,12 +82,13 @@ class ResultStore:
         self.path = path
         self._entries: dict[str, dict] = {}
         if path is not None and path.exists():
-            for line in path.read_text().splitlines():
-                if not line.strip():
-                    continue
-                entry = json.loads(line)
-                if entry.get("v") == SCHEMA_VERSION:
-                    self._entries[entry["key"]] = entry["result"]
+            for line in path.read_text(errors="replace").splitlines():
+                try:
+                    entry = json.loads(line)
+                    if entry["v"] == SCHEMA_VERSION:
+                        self._entries[entry["key"]] = dict(entry["result"])
+                except (ValueError, TypeError, KeyError):
+                    continue  # a blank or corrupt line is a cache miss
 
     @staticmethod
     def key(algebra: LieAlgebra, operation: str, params: dict) -> str:
@@ -225,10 +218,8 @@ def _structure_payload(algebra: LieAlgebra) -> dict:
 GLOBAL_DEFAULTS = {
     "mode": "exact",
     "seed": 0,
-    "prime_bits": 31,
     "budget": DEFAULT_TUPLE_BUDGET,
     "samples": 1000,
-    "jobs": 1,
     "format": "json",
     "out": None,
     "cache": None,
@@ -239,14 +230,12 @@ GLOBAL_DEFAULTS = {
 def _global_options() -> argparse.ArgumentParser:
     # SUPPRESS defaults so flags work both before and after the subcommand
     common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
-    common.add_argument("--mode", choices=["exact", "modular", "sampled"])
+    common.add_argument("--mode", choices=["exact", "sampled"])
     common.add_argument("--seed", type=int)
-    common.add_argument("--prime-bits", type=int)
     common.add_argument("--budget", type=int,
                         help="max basis tuples for exhaustive evaluation")
     common.add_argument("--samples", type=int,
                         help="sample count for sampled mode")
-    common.add_argument("--jobs", type=int)
     common.add_argument("--format", choices=["json", "csv", "text"])
     common.add_argument("--out", type=str, help="write report to file")
     common.add_argument("--cache", type=str, help="JSON-lines result cache path")
@@ -318,20 +307,23 @@ def run(argv=None, stdout=None) -> int:
     for attr, default in GLOBAL_DEFAULTS.items():
         if not hasattr(args, attr):
             setattr(args, attr, default)
-    config = RunConfig(
-        mode=args.mode,
-        prime_bits=args.prime_bits,
-        seed=args.seed,
-        tuple_budget=args.budget,
-        sample_count=args.samples,
-        parallelism=args.jobs,
-        output_format=args.format,
-    )
     out = stdout
     close_out = False
     try:
+        config = RunConfig(
+            mode=args.mode,
+            seed=args.seed,
+            tuple_budget=args.budget,
+            sample_count=args.samples,
+            output_format=args.format,
+        )
         if args.out:
-            out = open(args.out, "w")
+            try:
+                out = open(args.out, "w")
+            except OSError as exc:
+                raise MalformedInputError(
+                    f"cannot write {args.out}: {exc.strerror}"
+                ) from exc
             close_out = True
         payload = _dispatch(args, config)
         _emit(payload, config, out)
@@ -355,6 +347,21 @@ def run(argv=None, stdout=None) -> int:
 
 def _emit_error(stream, kind: str, exc: Exception) -> None:
     stream.write(json.dumps({"error": kind, "message": str(exc)}) + "\n")
+
+
+def _cached(store, config: RunConfig, algebra: LieAlgebra, operation: str,
+            n: int, compute) -> dict:
+    """Exact results are cached under (algebra, operation, n): the seed
+    cannot change them.  Sampled results are never cached."""
+    if store is None or config.mode != "exact":
+        return compute()
+    key = ResultStore.key(algebra, operation, {"n": n})
+    cached = store.get(key)
+    if cached is not None:
+        return {**cached, "cache": "hit"}
+    result = compute()
+    store.put(key, result)
+    return result
 
 
 def _dispatch(args, config: RunConfig) -> dict:
@@ -394,31 +401,15 @@ def _dispatch(args, config: RunConfig) -> dict:
     mode = config.eval_mode()
 
     if args.command == "codim":
-        key = ResultStore.key(algebra, "codim", {"n": args.n, "mode": config.mode,
-                                                 "seed": config.seed})
-        cached = store.get(key) if store and config.mode == "exact" else None
-        if cached is not None:
-            return {**cached, "cache": "hit"}
-        result = {
+        return _cached(store, config, algebra, "codim", args.n, lambda: {
             "n": args.n,
             "codimension": engine.codimension(args.n, mode),
-            "certainty": "exact" if config.mode in ("exact",) else "lower-bound",
-        }
-        if store and config.mode == "exact":
-            store.put(key, result)
-        return result
+            "certainty": "exact" if config.mode == "exact" else "lower-bound",
+        })
 
     if args.command == "cocharacter":
-        key = ResultStore.key(algebra, "cocharacter", {"n": args.n,
-                                                       "mode": config.mode,
-                                                       "seed": config.seed})
-        cached = store.get(key) if store and config.mode == "exact" else None
-        if cached is not None:
-            return {**cached, "cache": "hit"}
-        result = _cocharacter_payload(engine.cocharacter(args.n, mode))
-        if store and config.mode == "exact":
-            store.put(key, result)
-        return result
+        return _cached(store, config, algebra, "cocharacter", args.n, lambda:
+                       _cocharacter_payload(engine.cocharacter(args.n, mode)))
 
     if args.command == "capelli":
         holds = engine.capelli_holds(args.t, args.n, mode)
@@ -437,12 +428,7 @@ def _dispatch(args, config: RunConfig) -> dict:
         k = args.k if args.k is not None else report.structure.nil_class
         n = args.n if args.n is not None else r * k
         spec = QPolySpec(r, k, n)
-        engine_mode = (
-            SampledMode(count=config.sample_count, seed=config.seed)
-            if config.mode == "sampled"
-            else ExactMode()
-        )
-        verdict = verify_upper(algebra, spec, mode=engine_mode, engine=engine)
+        verdict = verify_upper(algebra, spec, mode=mode, engine=engine)
         return {
             "r": r,
             "k": k,

@@ -1,6 +1,6 @@
 """Evaluation of multilinear polynomials in a Lie algebra, identity
 decision, codimensions c_n, cocharacter multiplicities m_lambda,
-colengths l_n, and Capelli checks.
+colengths l_n, and alternated-identity checks.
 
 The workhorse is the evaluation matrix: rows are canonical basis words
 of P_n, columns are (basis tuple, coordinate) pairs.  Exhausting all
@@ -8,6 +8,12 @@ dim(L)^n basis tuples is sound and complete by multilinearity, so the
 row space dimension is exactly c_n(L).  Columns are deduplicated and a
 maximal independent set is kept; a polynomial is an identity iff its
 coefficient vector pairs to zero with every kept column.
+
+Alternations of basis words are never built symbolically:
+`_AlternatedChecker.scan` evaluates them on strictly increasing basis
+assignments of each alternating set, for both `capelli_holds` and
+`exponent.verify_upper`.  Exact verdicts are proofs; sampled mode only
+refutes, so its c_n and m_lambda are lower bounds.
 """
 
 from __future__ import annotations
@@ -23,12 +29,13 @@ from .freelie import (
     AltSpec,
     MultilinearPolynomial,
     Word,
-    alternate,
     basis_Pn,
     dim_Pn,
+    iter_basis_Pn,
+    signed_set_permutations,
 )
 from .liealg import LieAlgebra
-from .linalg import Vector, is_zero_vec, rank_modular, vec_add, vec_scale, zero_vec
+from .linalg import Vector, is_zero_vec, vec_add, vec_scale, zero_vec
 from .symgroup import Partition, YoungTableau, act, hook_dim, partitions, symmetrizer
 
 DEFAULT_TUPLE_BUDGET = 500_000
@@ -46,13 +53,7 @@ class SampledMode:
     plateau: int | None = None  # default: number of rows
 
 
-@dataclass(frozen=True)
-class ModularMode:
-    trials: int = 3
-    seed: int = 0
-
-
-Mode = "ExactMode | SampledMode | ModularMode"
+Mode = "ExactMode | SampledMode"
 
 
 class Evaluator:
@@ -246,12 +247,6 @@ class CodimEngine:
             return self.exhaustive_columns(n).rank
         if isinstance(mode, SampledMode):
             return self.sampled_columns(n, mode).rank
-        if isinstance(mode, ModularMode):
-            space = self.exhaustive_columns(n)
-            if not space.kept:
-                return 0
-            m = tuple(zip(*space.kept))  # rows = monomials
-            return rank_modular(m, trials=mode.trials, seed=mode.seed)
         raise MalformedInputError(f"unknown mode {mode!r}")
 
     def pairing(self, coeffs: tuple[Fraction, ...], space: _ColumnSpace):
@@ -312,18 +307,94 @@ class CodimEngine:
 
     def capelli_holds(self, t: int, n: int, mode: Mode = ExactMode()) -> bool:
         """True iff every polynomial of P_n alternating on some t variables
-        is an identity.  Checking alternations of canonical basis words over
-        every t-subset spans all such polynomials, so this is complete."""
+        is an identity.  Alternations of canonical basis words over every
+        t-subset span all such polynomials, so exact mode is complete;
+        in sampled mode True means "not refuted"."""
         if not 1 <= t <= n:
             raise MalformedInputError("need 1 <= t <= n")
-        words = basis_Pn(n)
-        for subset in itertools.combinations(range(1, n + 1), t):
-            spec = AltSpec.of(subset)
-            for w in words:
-                f = alternate(MultilinearPolynomial(n, {w: Fraction(1)}), spec)
-                if not self.is_identity(f, mode):
-                    return False
-        return True
+        if isinstance(mode, ExactMode):
+            self._require_budget(n)
+        if t > self.algebra.dim:
+            return True  # t slots alternated over dim L basis values repeat
+        # k = 1 alternating set of size r = t
+        assignments = [(s,) for s in itertools.combinations(range(1, n + 1), t)]
+        _, _, hit = _AlternatedChecker(self).scan(n, assignments, mode)
+        return hit is None
+
+
+class _AlternatedChecker:
+    """Identity decision for alternations of a single basis word.
+
+    Multilinearity reduces identity checking to basis tuples, and the
+    alternation vanishes whenever a set repeats a value and only changes
+    sign when set values are permuted, so scanning strictly increasing
+    basis assignments per set is equivalent to the full tuple sweep.
+    """
+
+    def __init__(self, engine: CodimEngine):
+        self.engine = engine
+        self.algebra = engine.algebra
+
+    def find_nonzero(self, word: Word, sets: tuple[tuple[int, ...], ...]):
+        """A basis assignment where the alternated word is nonzero, or None."""
+        p = self.algebra.dim
+        r = len(sets[0])
+        if r > p:
+            return None  # alternating set larger than the algebra: always zero
+        n = len(word)
+        in_set = set(itertools.chain.from_iterable(sets))
+        free = [v for v in range(1, n + 1) if v not in in_set]
+        spec = AltSpec.of(*sets)
+        perms = list(signed_set_permutations(spec))
+        for set_vals in itertools.product(
+            itertools.combinations(range(p), r), repeat=len(sets)
+        ):
+            assign = {}
+            for s, vals in zip(sets, set_vals):
+                assign.update(zip(s, vals))
+            for free_vals in itertools.product(range(p), repeat=len(free)):
+                assign.update(zip(free, free_vals))
+                total = zero_vec(p)
+                for mapping, sign in perms:
+                    seq = tuple(
+                        assign[mapping.get(l, l)] for l in word
+                    )
+                    value = self.engine.evaluator.word_value(seq)
+                    if not is_zero_vec(value):
+                        total = vec_add(total, vec_scale(Fraction(sign), value))
+                if not is_zero_vec(total):
+                    return dict(assign), total
+        return None
+
+    def scan(self, n: int, assignments: list, mode: Mode,
+             budget: int | None = None):
+        """(checks, exhaustive, hit) over the alternations of every basis
+        word of P_n on every set assignment; hit is the first nonzero
+        (word, sets, assignment, value) or None.  Exact mode streams the
+        items; sampled mode checks `mode.count` of them drawn at random."""
+        total = len(assignments) * dim_Pn(n)
+        items = ((w, sets) for sets in assignments for w in iter_basis_Pn(n))
+        exhaustive = True
+        if isinstance(mode, SampledMode):
+            if mode.count < total:
+                items = random.Random(mode.seed).sample(list(items), mode.count)
+                total, exhaustive = mode.count, False
+        elif not isinstance(mode, ExactMode):
+            raise MalformedInputError(
+                "alternation checks support exact or sampled mode"
+            )
+        if budget is not None and total > budget:
+            raise BudgetExceededError(
+                f"{total} alternation checks exceed budget {budget}",
+                required=total,
+            )
+        checks = 0
+        for word, sets in items:
+            checks += 1
+            found = self.find_nonzero(word, sets)
+            if found is not None:
+                return checks, exhaustive, (word, sets) + found
+        return checks, exhaustive, None
 
 
 def codimension(

@@ -16,12 +16,11 @@ alternating sets of size d.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BudgetExceededError, MalformedInputError
-from .evaluation import CodimEngine, ExactMode, Mode, SampledMode
+from .errors import MalformedInputError
+from .evaluation import CodimEngine, ExactMode, Mode, _AlternatedChecker
 from .freelie import (
     AltSpec,
     MultilinearPolynomial,
@@ -29,18 +28,9 @@ from .freelie import (
     alternate,
     basis_Pn,
     format_word,
-    signed_set_permutations,
 )
 from .liealg import LieAlgebra, StructureReport, analyze
-from .linalg import (
-    Subspace,
-    Vector,
-    format_fraction,
-    is_zero_vec,
-    vec_add,
-    vec_scale,
-    zero_vec,
-)
+from .linalg import Subspace, Vector, format_fraction, is_zero_vec
 
 # witness products are expression trees: leaf = ("elem", vector),
 # node = ("br", left, right); leaves re-evaluate to the exact stored value
@@ -215,51 +205,6 @@ def _set_assignments(spec: QPolySpec):
     yield from descend(variables, [], 0)
 
 
-class _AlternatedChecker:
-    """Identity decision for alternations of a single basis word.
-
-    Multilinearity reduces identity checking to basis tuples, and the
-    alternation vanishes whenever a set repeats a value and only changes
-    sign when set values are permuted, so scanning strictly increasing
-    basis assignments per set is equivalent to the full tuple sweep.
-    """
-
-    def __init__(self, engine: CodimEngine):
-        self.engine = engine
-        self.algebra = engine.algebra
-
-    def find_nonzero(self, word: Word, sets: tuple[tuple[int, ...], ...]):
-        """A basis assignment where the alternated word is nonzero, or None."""
-        p = self.algebra.dim
-        r = len(sets[0])
-        if r > p:
-            return None  # alternating set larger than the algebra: always zero
-        n = len(word)
-        in_set = set(itertools.chain.from_iterable(sets))
-        free = [v for v in range(1, n + 1) if v not in in_set]
-        spec = AltSpec.of(*sets)
-        perms = list(signed_set_permutations(spec))
-        for set_vals in itertools.product(
-            itertools.combinations(range(p), r), repeat=len(sets)
-        ):
-            assign = {}
-            for s, vals in zip(sets, set_vals):
-                assign.update(zip(s, vals))
-            for free_vals in itertools.product(range(p), repeat=len(free)):
-                assign.update(zip(free, free_vals))
-                total = zero_vec(p)
-                for mapping, sign in perms:
-                    seq = tuple(
-                        assign[mapping.get(l, l)] for l in word
-                    )
-                    value = self.engine.evaluator.word_value(seq)
-                    if not is_zero_vec(value):
-                        total = vec_add(total, vec_scale(Fraction(sign), value))
-                if not is_zero_vec(total):
-                    return dict(assign), total
-        return None
-
-
 @dataclass(frozen=True)
 class UpperVerdict:
     passed: bool
@@ -292,34 +237,14 @@ def verify_upper(
     individual check is exhaustive over basis tuples.
     """
     engine = engine or CodimEngine(algebra)
-    checker = _AlternatedChecker(engine)
-    words = basis_Pn(spec.n)
-    assignments = list(_set_assignments(spec))
-    work = [(w, sets) for sets in assignments for w in words]
-    exhaustive = True
-    if isinstance(mode, SampledMode):
-        rng = random.Random(mode.seed)
-        if mode.count < len(work):
-            work = rng.sample(work, mode.count)
-            exhaustive = False
-    elif not isinstance(mode, ExactMode):
-        raise MalformedInputError("verify_upper supports exact or sampled mode")
-    if len(work) > budget:
-        raise BudgetExceededError(
-            f"{len(work)} alternation checks exceed budget {budget}",
-            required=len(work),
-        )
-    checks = 0
-    for word, sets in work:
-        checks += 1
-        found = checker.find_nonzero(word, sets)
-        if found is not None:
-            assign, _ = found
-            labels = {
-                f"x{v}": algebra.labels[idx] for v, idx in sorted(assign.items())
-            }
-            return UpperVerdict(False, spec, checks, exhaustive, (word, sets, labels))
-    return UpperVerdict(True, spec, checks, exhaustive, None)
+    checks, exhaustive, hit = _AlternatedChecker(engine).scan(
+        spec.n, list(_set_assignments(spec)), mode, budget
+    )
+    if hit is None:
+        return UpperVerdict(True, spec, checks, exhaustive, None)
+    word, sets, assign, _ = hit
+    labels = {f"x{v}": algebra.labels[idx] for v, idx in sorted(assign.items())}
+    return UpperVerdict(False, spec, checks, exhaustive, (word, sets, labels))
 
 
 @dataclass(frozen=True)

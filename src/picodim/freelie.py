@@ -45,9 +45,14 @@ def format_word(word: Word) -> str:
 
 def basis_Pn(n: int) -> list[Word]:
     """Canonical basis words of degree n, in lexicographic order of the prefix."""
+    return list(iter_basis_Pn(n))
+
+
+def iter_basis_Pn(n: int):
+    """The words of `basis_Pn(n)`, one at a time."""
     if n < 1:
         raise MalformedInputError("degree must be >= 1")
-    return [perm + (n,) for perm in itertools.permutations(range(1, n))]
+    return (perm + (n,) for perm in itertools.permutations(range(1, n)))
 
 
 @dataclass(frozen=True)
@@ -140,6 +145,15 @@ def _normalize_word(word: Word, n: int) -> tuple[tuple[Word, int], ...]:
     return tuple(out.items())
 
 
+def linear_combination(degree: int, scaled) -> MultilinearPolynomial:
+    """Sum of c * g over the (c, g) pairs, accumulated in one dict."""
+    terms: dict[Word, Fraction] = {}
+    for c, g in scaled:
+        for w, x in g.terms.items():
+            terms[w] = terms.get(w, Fraction(0)) + c * x
+    return MultilinearPolynomial(degree, terms)
+
+
 def rewrite_word(word: Word, n: int) -> MultilinearPolynomial:
     terms = {w: Fraction(c) for w, c in _normalize_word(word, n)}
     return MultilinearPolynomial(n, terms)
@@ -161,10 +175,9 @@ def rewrite(tree) -> MultilinearPolynomial:
                     out[w] = out.get(w, Fraction(0)) + cl * cr * c
         return out
 
-    result = MultilinearPolynomial.zero(n)
-    for w, c in expand(tree).items():
-        result = result + rewrite_word(w, n).scale(c)
-    return result
+    return linear_combination(
+        n, ((c, rewrite_word(w, n)) for w, c in expand(tree).items())
+    )
 
 
 def permute(sigma: dict[int, int] | tuple[int, ...], f: MultilinearPolynomial) -> MultilinearPolynomial:
@@ -178,11 +191,12 @@ def permute(sigma: dict[int, int] | tuple[int, ...], f: MultilinearPolynomial) -
         range(1, n + 1)
     ):
         raise MalformedInputError("not a permutation of 1..n")
-    result = MultilinearPolynomial.zero(n)
+    terms: dict[Word, Fraction] = {}
     for word, coeff in f.terms.items():
         moved = tuple(sigma[l] for l in word)
-        result = result + rewrite_word(moved, n).scale(coeff)
-    return result
+        for w, c in _normalize_word(moved, n):
+            terms[w] = terms.get(w, Fraction(0)) + coeff * c
+    return MultilinearPolynomial(n, terms)
 
 
 @dataclass(frozen=True)
@@ -246,11 +260,11 @@ def alternate(f: MultilinearPolynomial, spec: AltSpec) -> MultilinearPolynomial:
     """Signed sum of f over all permutations inside each alternating set."""
     spec.validate(f.degree)
     n = f.degree
-    result = MultilinearPolynomial.zero(n)
-    for mapping, sign in signed_set_permutations(spec):
-        sigma = {i: mapping.get(i, i) for i in range(1, n + 1)}
-        result = result + permute(sigma, f).scale(Fraction(sign))
-    return result
+    images = (
+        (sign, permute({i: mapping.get(i, i) for i in range(1, n + 1)}, f))
+        for mapping, sign in signed_set_permutations(spec)
+    )
+    return linear_combination(n, images)
 
 
 def dim_Pn(n: int) -> int:

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import factorial
 
 from .errors import MalformedInputError
-from .freelie import MultilinearPolynomial, permute
+from .freelie import MultilinearPolynomial, linear_combination, permute
 
 Perm = tuple[int, ...]
 
@@ -206,7 +206,6 @@ def symmetrizer(t: YoungTableau) -> GroupAlgebraElement:
 def act(g: GroupAlgebraElement, f: MultilinearPolynomial) -> MultilinearPolynomial:
     if g.degree != f.degree:
         raise MalformedInputError("degree mismatch")
-    result = MultilinearPolynomial.zero(f.degree)
-    for p, c in g.terms.items():
-        result = result + permute(p, f).scale(c)
-    return result
+    return linear_combination(
+        f.degree, ((c, permute(p, f)) for p, c in g.terms.items())
+    )

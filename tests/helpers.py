@@ -1,8 +1,9 @@
 """Shared oracles and generators for the test suite.
 
 Everything here is deliberately independent of the library internals it
-checks: direct tree evaluation, brute-force tableau counting, and an
-exhaustive bracketing enumeration for the exponent candidate.
+checks: direct tree evaluation, brute-force tableau counting, an
+exhaustive bracketing enumeration for the exponent candidate, and the
+symbolic Capelli check that the alternated-identity scan replaced.
 """
 
 from __future__ import annotations
@@ -11,7 +12,9 @@ import itertools
 import random
 from fractions import Fraction
 
-from picodim import LieAlgebra, validate
+from picodim import AltSpec, CodimEngine, LieAlgebra, validate
+from picodim.errors import MalformedInputError
+from picodim.freelie import MultilinearPolynomial, alternate, basis_Pn
 from picodim.liealg import StructureReport
 from picodim.linalg import invert, zero_vec
 from picodim.symgroup import Partition
@@ -142,3 +145,22 @@ def bracketing_enumeration_d(report: StructureReport, max_len: int = 6):
     for touched in subsets:
         best = max(best, sum(dims[i] for i in touched))
     return best, subsets
+
+
+def symbolic_capelli_holds(engine: CodimEngine, t: int, n: int) -> bool:
+    """Oracle for `CodimEngine.capelli_holds` in exact mode.
+
+    Builds the alternation of every canonical basis word over every
+    t-subset symbolically, rewrites it into the canonical basis and
+    decides it against the exhaustive column space.
+    """
+    if not 1 <= t <= n:
+        raise MalformedInputError("need 1 <= t <= n")
+    words = basis_Pn(n)
+    for subset in itertools.combinations(range(1, n + 1), t):
+        spec = AltSpec.of(subset)
+        for w in words:
+            f = alternate(MultilinearPolynomial(n, {w: Fraction(1)}), spec)
+            if not engine.is_identity(f):
+                return False
+    return True

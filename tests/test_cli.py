@@ -179,3 +179,42 @@ def test_cache_coherence_random_probes(tmp_path):
         _, first = invoke_json("codim", name, "--n", str(n), "--cache", str(cache))
         _, again = invoke_json("codim", name, "--n", str(n), "--cache", str(cache))
         assert again["codimension"] == first["codimension"]
+
+
+def test_cache_hit_across_seeds_in_exact_mode(tmp_path):
+    cache = tmp_path / "cache.jsonl"
+    code, first = invoke_json("codim", "sl2", "--n", "4", "--seed", "1",
+                              "--cache", str(cache))
+    assert code == 0 and "cache" not in first
+    code, second = invoke_json("codim", "sl2", "--n", "4", "--seed", "2",
+                               "--cache", str(cache))
+    assert code == 0 and second["cache"] == "hit"
+    assert second["codimension"] == first["codimension"]
+
+
+def test_corrupt_cache_line_is_a_miss(tmp_path):
+    cache = tmp_path / "cache.jsonl"
+    invoke_json("codim", "sl2", "--n", "3", "--cache", str(cache))
+    lines = cache.read_text().splitlines()
+    corrupt = ["{not json", "[1, 2]", lines[0][: len(lines[0]) // 2]]
+    cache.write_text("\n".join(corrupt) + "\n")
+    code, payload = invoke_json("codim", "sl2", "--n", "3", "--cache", str(cache))
+    assert code == 0 and "cache" not in payload
+    assert payload["codimension"] == 2
+    code, payload = invoke_json("codim", "sl2", "--n", "3", "--cache", str(cache))
+    assert code == 0 and payload["cache"] == "hit"
+
+
+def test_out_into_missing_directory_is_malformed_input(tmp_path):
+    target = tmp_path / "missing" / "report.json"
+    code, payload = invoke_json("codim", "sl2", "--n", "3", "--no-cache",
+                                "--out", str(target))
+    assert code == 2
+    assert payload["error"] == "malformed-input"
+    assert not target.exists()
+
+
+def test_removed_options_are_usage_errors():
+    for argv in (("--mode", "modular"), ("--prime-bits", "31"), ("--jobs", "2")):
+        code, _ = invoke("codim", "sl2", "--n", "3", "--no-cache", *argv)
+        assert code == 2

@@ -4,8 +4,8 @@ from math import factorial
 import pytest
 
 from picodim import (
+    CATALOG_NAMES,
     CodimEngine,
-    ModularMode,
     SampledMode,
     catalog_algebra,
     change_basis,
@@ -15,7 +15,7 @@ from picodim.errors import BudgetExceededError, MalformedInputError
 from picodim.freelie import MultilinearPolynomial, rewrite, rewrite_word
 from picodim.linalg import is_zero_vec, unit_vec
 
-from helpers import random_invertible
+from helpers import random_invertible, symbolic_capelli_holds
 
 
 def test_evaluate_abelian_kills_higher_degrees():
@@ -89,14 +89,6 @@ def test_codimension_bounded_by_basis_size(engine_for):
         engine = engine_for(name)
         for n in range(1, 6):
             assert engine.codimension(n) <= factorial(n - 1)
-
-
-def test_codimension_modular_agrees_with_exact(engine_for):
-    for name in ("sl2", "gl2", "heisenberg3"):
-        engine = engine_for(name)
-        for n in range(1, 5):
-            exact = engine.codimension(n)
-            assert engine.codimension(n, ModularMode(trials=3, seed=n)) == exact
 
 
 def test_codimension_sampled_never_exceeds_exact(engine_for):
@@ -213,3 +205,39 @@ def test_capelli_height_link(engine_for):
                     r.multiplicity for r in table.rows if r.shape.height >= t
                 ]
                 assert holds == all(m == 0 for m in tall_mults)
+
+
+def test_capelli_matches_symbolic_oracle(engine_for):
+    # every catalog algebra up to n = 4; at n = 5 those with dim <= 5
+    # (the two 6-dim algebras take the symbolic oracle several seconds)
+    for name in CATALOG_NAMES:
+        engine = engine_for(name)
+        top = 5 if engine.algebra.dim <= 5 else 4
+        for n in range(1, top + 1):
+            for t in range(1, min(n, 5) + 1):
+                expected = symbolic_capelli_holds(engine, t, n)
+                assert engine.capelli_holds(t, n) == expected, (name, t, n)
+
+
+def test_capelli_rank_above_dimension_holds_at_once(engine_for):
+    assert engine_for("sl2").capelli_holds(4, 9)
+
+
+def test_capelli_violation_at_high_degree_is_found_early(engine_for):
+    # the scan streams (word, subset) items, so the first nonzero
+    # alternation ends the check without listing the 10! basis words
+    assert not engine_for("sl2").capelli_holds(3, 11)
+
+
+def test_capelli_exact_mode_keeps_tuple_budget():
+    engine = CodimEngine(catalog_algebra("sl2"), tuple_budget=10)
+    with pytest.raises(BudgetExceededError) as err:
+        engine.capelli_holds(4, 5)
+    assert err.value.required == 243
+
+
+def test_capelli_sampled_refutes_only_false_checks(engine_for):
+    gl2, sl2 = engine_for("gl2"), engine_for("sl2")
+    for seed in range(3):
+        assert gl2.capelli_holds(4, 5, SampledMode(count=20, seed=seed))
+        assert not sl2.capelli_holds(3, 4, SampledMode(count=20, seed=seed))
