@@ -14,11 +14,7 @@ from .evaluation import (
     CocharacterTable,
     ExactMode,
     SampledMode,
-    capelli_holds,
-    cocharacter,
-    codimension,
     evaluate,
-    is_identity,
 )
 from .exponent import (
     ExponentReport,

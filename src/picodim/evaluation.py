@@ -9,19 +9,25 @@ row space dimension is exactly c_n(L).  Columns are deduplicated and a
 maximal independent set is kept; a polynomial is an identity iff its
 coefficient vector pairs to zero with every kept column.
 
-Alternations of basis words are never built symbolically:
-`_AlternatedChecker.scan` evaluates them on strictly increasing basis
-assignments of each alternating set, for both `capelli_holds` and
-`exponent.verify_upper`.  Exact verdicts are proofs; sampled mode only
-refutes, so its c_n and m_lambda are lower bounds.
+Only two methods choose between exact and sampled mode:
+`CodimEngine.columns` (all basis tuples, or random ones until (n-1)!
+tuples in a row add no column) and `_AlternatedChecker.scan` (every
+alternation, or a random sample of them).  Alternations of basis words
+are never built symbolically: the scan evaluates them on strictly
+increasing basis assignments of each alternating set, for
+`capelli_holds`, `exponent.verify_upper` and
+`exponent.find_lower_witness`.  Exact verdicts are proofs; sampled mode
+only refutes, so its c_n and m_lambda are lower bounds.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import factorial
 from typing import Iterable
 
 from .errors import BudgetExceededError, MalformedInputError
@@ -32,6 +38,7 @@ from .freelie import (
     basis_Pn,
     dim_Pn,
     iter_basis_Pn,
+    nth_basis_word,
     signed_set_permutations,
 )
 from .liealg import LieAlgebra
@@ -50,7 +57,6 @@ class ExactMode:
 class SampledMode:
     count: int
     seed: int = 0
-    plateau: int | None = None  # default: number of rows
 
 
 Mode = "ExactMode | SampledMode"
@@ -122,7 +128,6 @@ class _ColumnSpace:
     """Incremental echelon over column vectors; keeps one original column
     per pivot so the kept set spans the full column space."""
 
-    nrows: int
     pivots: list = field(default_factory=list)  # (lead index, reduced column)
     kept: list = field(default_factory=list)  # original independent columns
 
@@ -174,7 +179,7 @@ class CodimEngine:
         self.algebra = algebra
         self.tuple_budget = tuple_budget
         self.evaluator = Evaluator(algebra)
-        self._exhaustive: dict[int, _ColumnSpace] = {}
+        self._columns: dict[tuple[int, Mode], _ColumnSpace] = {}
 
     # -- column generation ------------------------------------------------
 
@@ -196,58 +201,60 @@ class CodimEngine:
             )
         return total
 
-    def exhaustive_columns(self, n: int) -> _ColumnSpace:
-        """Maximal independent column set over all basis tuples (cached)."""
-        cached = self._exhaustive.get(n)
-        if cached is not None:
-            return cached
-        self._require_budget(n)
-        p = self.algebra.dim
-        words = basis_Pn(n)
-        space = _ColumnSpace(len(words))
-        seen: set = set()
-        max_rank = len(words)
-        for tup in itertools.product(range(p), repeat=n):
-            for col in self._tuple_columns(words, tup):
-                if col in seen:
-                    continue
-                seen.add(col)
-                space.insert(col)
-            if space.rank == max_rank:
-                break
-        self._exhaustive[n] = space
+    def columns(self, n: int, mode: Mode = ExactMode()) -> _ColumnSpace:
+        """Maximal independent column set of degree n, cached per (n, mode).
+
+        Exact mode spans the whole column space; sampled mode spans part
+        of it, so its rank is a lower bound on c_n."""
+        space = self._columns.get((n, mode))
+        if space is None:
+            if isinstance(mode, ExactMode):
+                space = self.exhaustive_columns(n)
+            elif isinstance(mode, SampledMode):
+                space = self.sampled_columns(n, mode)
+            else:
+                raise MalformedInputError(f"unknown mode {mode!r}")
+            self._columns[(n, mode)] = space
         return space
 
+    def exhaustive_columns(self, n: int) -> _ColumnSpace:
+        """Columns of every basis tuple, until the rank reaches (n-1)!."""
+        self._require_budget(n)
+        tuples = itertools.product(range(self.algebra.dim), repeat=n)
+        return self._select(n, tuples, plateau=None)
+
     def sampled_columns(self, n: int, mode: SampledMode) -> _ColumnSpace:
-        p = self.algebra.dim
-        words = basis_Pn(n)
-        space = _ColumnSpace(len(words))
-        seen: set = set()
+        """Columns of `mode.count` random basis tuples; stops early once
+        (n-1)! tuples in a row add no column."""
         rng = random.Random(mode.seed)
-        plateau = mode.plateau if mode.plateau is not None else dim_Pn(n)
+        p = self.algebra.dim
+        tuples = (
+            tuple(rng.randrange(p) for _ in range(n)) for _ in range(mode.count)
+        )
+        return self._select(n, tuples, plateau=dim_Pn(n))
+
+    def _select(self, n: int, tuples: Iterable[tuple[int, ...]],
+                plateau: int | None) -> _ColumnSpace:
+        words = basis_Pn(n)
+        space = _ColumnSpace()
+        seen: set = set()
         since_increase = 0
-        for _ in range(mode.count):
-            tup = tuple(rng.randrange(p) for _ in range(n))
+        for tup in tuples:
             increased = False
             for col in self._tuple_columns(words, tup):
                 if col in seen:
                     continue
                 seen.add(col)
-                if space.insert(col):
-                    increased = True
+                increased = space.insert(col) or increased
             since_increase = 0 if increased else since_increase + 1
-            if since_increase >= plateau or space.rank == len(words):
+            if space.rank == len(words) or since_increase == plateau:
                 break
         return space
 
     # -- public operations ------------------------------------------------
 
     def codimension(self, n: int, mode: Mode = ExactMode()) -> int:
-        if isinstance(mode, ExactMode):
-            return self.exhaustive_columns(n).rank
-        if isinstance(mode, SampledMode):
-            return self.sampled_columns(n, mode).rank
-        raise MalformedInputError(f"unknown mode {mode!r}")
+        return self.columns(n, mode).rank
 
     def pairing(self, coeffs: tuple[Fraction, ...], space: _ColumnSpace):
         return tuple(
@@ -261,11 +268,6 @@ class CodimEngine:
         n = f.degree
         if f.is_zero():
             return True
-        if isinstance(mode, ExactMode):
-            space = self.exhaustive_columns(n)
-            words = basis_Pn(n)
-            coeffs = f.coefficient_vector(words)
-            return all(x == 0 for x in self.pairing(coeffs, space))
         if isinstance(mode, SampledMode):
             rng = random.Random(mode.seed)
             p = self.algebra.dim
@@ -276,15 +278,11 @@ class CodimEngine:
                 if not is_zero_vec(evaluate(f, tup, self.algebra)):
                     return False
             return True  # not refuted
-        raise MalformedInputError(f"unknown mode {mode!r}")
+        coeffs = f.coefficient_vector(basis_Pn(n))
+        return all(x == 0 for x in self.pairing(coeffs, self.columns(n, mode)))
 
     def cocharacter(self, n: int, mode: Mode = ExactMode()) -> CocharacterTable:
-        if isinstance(mode, ExactMode):
-            space = self.exhaustive_columns(n)
-        elif isinstance(mode, SampledMode):
-            space = self.sampled_columns(n, mode)
-        else:
-            raise MalformedInputError("cocharacter supports exact or sampled mode")
+        space = self.columns(n, mode)
         words = basis_Pn(n)
         rows = []
         height_cap = self.algebra.dim  # alternating > dim L basis slots repeats
@@ -295,7 +293,7 @@ class CodimEngine:
                 continue
             tableau = YoungTableau.row_reading(shape)
             e = symmetrizer(tableau)
-            image = _ColumnSpace(space.rank)
+            image = _ColumnSpace()
             for w in words:
                 g = act(e, MultilinearPolynomial(n, {w: Fraction(1)}))
                 paired = self.pairing(g.coefficient_vector(words), space)
@@ -314,12 +312,29 @@ class CodimEngine:
             raise MalformedInputError("need 1 <= t <= n")
         if isinstance(mode, ExactMode):
             self._require_budget(n)
-        if t > self.algebra.dim:
-            return True  # t slots alternated over dim L basis values repeat
-        # k = 1 alternating set of size r = t
-        assignments = [(s,) for s in itertools.combinations(range(1, n + 1), t)]
-        _, _, hit = _AlternatedChecker(self).scan(n, assignments, mode)
+        _, _, hit = _AlternatedChecker(self).scan(n, t, 1, mode)
         return hit is None
+
+
+def _set_assignments(n: int, r: int, k: int):
+    """All ways to pick k disjoint r-subsets of {1..n}, order-free."""
+
+    def descend(available, chosen, min_first):
+        if len(chosen) == k:
+            yield tuple(chosen)
+            return
+        for combo in itertools.combinations(available, r):
+            if combo[0] < min_first:
+                continue  # fix increasing first elements to kill set-order dups
+            rest = [v for v in available if v not in combo]
+            yield from descend(rest, chosen + [combo], combo[0])
+
+    yield from descend(list(range(1, n + 1)), [], 0)
+
+
+def _assignment_count(n: int, r: int, k: int) -> int:
+    """Length of `_set_assignments(n, r, k)`."""
+    return factorial(n) // (factorial(r) ** k * factorial(k) * factorial(n - r * k))
 
 
 class _AlternatedChecker:
@@ -339,8 +354,6 @@ class _AlternatedChecker:
         """A basis assignment where the alternated word is nonzero, or None."""
         p = self.algebra.dim
         r = len(sets[0])
-        if r > p:
-            return None  # alternating set larger than the algebra: always zero
         n = len(word)
         in_set = set(itertools.chain.from_iterable(sets))
         free = [v for v in range(1, n + 1) if v not in in_set]
@@ -366,18 +379,18 @@ class _AlternatedChecker:
                     return dict(assign), total
         return None
 
-    def scan(self, n: int, assignments: list, mode: Mode,
+    def scan(self, n: int, r: int, k: int, mode: Mode,
              budget: int | None = None):
         """(checks, exhaustive, hit) over the alternations of every basis
-        word of P_n on every set assignment; hit is the first nonzero
-        (word, sets, assignment, value) or None.  Exact mode streams the
-        items; sampled mode checks `mode.count` of them drawn at random."""
-        total = len(assignments) * dim_Pn(n)
-        items = ((w, sets) for sets in assignments for w in iter_basis_Pn(n))
-        exhaustive = True
+        word of P_n on every way to pick k disjoint alternating r-sets;
+        hit is the first nonzero (word, sets, assignment, value) or None.
+        Exact mode streams the items; sampled mode checks `mode.count` of
+        them drawn at random."""
+        nwords = dim_Pn(n)
+        population = _assignment_count(n, r, k) * nwords
+        total, exhaustive = population, True
         if isinstance(mode, SampledMode):
-            if mode.count < total:
-                items = random.Random(mode.seed).sample(list(items), mode.count)
+            if mode.count < population:
                 total, exhaustive = mode.count, False
         elif not isinstance(mode, ExactMode):
             raise MalformedInputError(
@@ -388,6 +401,33 @@ class _AlternatedChecker:
                 f"{total} alternation checks exceed budget {budget}",
                 required=total,
             )
+        if r > self.algebra.dim:
+            # r slots alternated over dim L basis values repeat one
+            return total, exhaustive, None
+        if exhaustive:
+            items = (
+                (w, sets)
+                for sets in _set_assignments(n, r, k)
+                for w in iter_basis_Pn(n)
+            )
+        else:
+            if population > sys.maxsize:
+                raise BudgetExceededError(
+                    f"{population} alternation checks are too many to "
+                    f"sample from (at most {sys.maxsize})",
+                    required=population,
+                )
+            # positions in the exact order above, drawn as if from its list
+            positions = random.Random(mode.seed).sample(range(population), total)
+            wanted = {i // nwords for i in positions}
+            assignments = {
+                j: sets for j, sets in enumerate(_set_assignments(n, r, k))
+                if j in wanted
+            }
+            items = (
+                (nth_basis_word(n, i % nwords), assignments[i // nwords])
+                for i in positions
+            )
         checks = 0
         for word, sets in items:
             checks += 1
@@ -395,40 +435,3 @@ class _AlternatedChecker:
             if found is not None:
                 return checks, exhaustive, (word, sets) + found
         return checks, exhaustive, None
-
-
-def codimension(
-    algebra: LieAlgebra,
-    n: int,
-    mode: Mode = ExactMode(),
-    tuple_budget: int = DEFAULT_TUPLE_BUDGET,
-) -> int:
-    return CodimEngine(algebra, tuple_budget).codimension(n, mode)
-
-
-def cocharacter(
-    algebra: LieAlgebra,
-    n: int,
-    mode: Mode = ExactMode(),
-    tuple_budget: int = DEFAULT_TUPLE_BUDGET,
-) -> CocharacterTable:
-    return CodimEngine(algebra, tuple_budget).cocharacter(n, mode)
-
-
-def is_identity(
-    f: MultilinearPolynomial,
-    algebra: LieAlgebra,
-    mode: Mode = ExactMode(),
-    tuple_budget: int = DEFAULT_TUPLE_BUDGET,
-) -> bool:
-    return CodimEngine(algebra, tuple_budget).is_identity(f, mode)
-
-
-def capelli_holds(
-    algebra: LieAlgebra,
-    t: int,
-    n: int,
-    mode: Mode = ExactMode(),
-    tuple_budget: int = DEFAULT_TUPLE_BUDGET,
-) -> bool:
-    return CodimEngine(algebra, tuple_budget).capelli_holds(t, n, mode)

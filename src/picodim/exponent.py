@@ -10,12 +10,12 @@ span.
 The upper-bound mechanism checks that every multilinear polynomial
 with nilpotency-class many disjoint alternating sets of size d+1 is an
 identity; the lower bound searches for explicit non-identities with
-alternating sets of size d.
+alternating sets of size d.  Both run `evaluation._AlternatedChecker.scan`,
+which enumerates (or samples) the set assignments and basis words.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -26,7 +26,6 @@ from .freelie import (
     MultilinearPolynomial,
     Word,
     alternate,
-    basis_Pn,
     format_word,
 )
 from .liealg import LieAlgebra, StructureReport, analyze
@@ -188,23 +187,6 @@ class QPolySpec:
         return self.n - self.r * self.k
 
 
-def _set_assignments(spec: QPolySpec):
-    """All ways to pick k disjoint r-subsets of {1..n}, order-free."""
-    variables = list(range(1, spec.n + 1))
-
-    def descend(available, chosen, min_first):
-        if len(chosen) == spec.k:
-            yield tuple(chosen)
-            return
-        for combo in itertools.combinations(available, spec.r):
-            if combo[0] < min_first:
-                continue  # fix increasing first elements to kill set-order dups
-            rest = [v for v in available if v not in combo]
-            yield from descend(rest, chosen + [combo], combo[0])
-
-    yield from descend(variables, [], 0)
-
-
 @dataclass(frozen=True)
 class UpperVerdict:
     passed: bool
@@ -238,7 +220,7 @@ def verify_upper(
     """
     engine = engine or CodimEngine(algebra)
     checks, exhaustive, hit = _AlternatedChecker(engine).scan(
-        spec.n, list(_set_assignments(spec)), mode, budget
+        spec.n, spec.r, spec.k, mode, budget
     )
     if hit is None:
         return UpperVerdict(True, spec, checks, exhaustive, None)
@@ -291,12 +273,9 @@ def find_lower_witness(
     checker = _AlternatedChecker(engine)
     for n in range(n_min if n_min is not None else r * k, n_max + 1):
         spec = QPolySpec(r, k, n)
-        for sets in _set_assignments(spec):
-            for word in basis_Pn(n):
-                found = checker.find_nonzero(word, sets)
-                if found is not None:
-                    assign, value = found
-                    return LowerWitness(spec, word, sets, assign, value)
+        _, _, hit = checker.scan(n, r, k, ExactMode())
+        if hit is not None:
+            return LowerWitness(spec, *hit)
     return None
 
 

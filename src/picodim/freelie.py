@@ -55,6 +55,16 @@ def iter_basis_Pn(n: int):
     return (perm + (n,) for perm in itertools.permutations(range(1, n)))
 
 
+def nth_basis_word(n: int, index: int) -> Word:
+    """`basis_Pn(n)[index]`, read off the factorial-base digits of index."""
+    letters = list(range(1, n))
+    word = []
+    for place in range(n - 2, -1, -1):
+        digit, index = divmod(index, factorial(place))
+        word.append(letters.pop(digit))
+    return tuple(word) + (n,)
+
+
 @dataclass(frozen=True)
 class MultilinearPolynomial:
     """Sparse rational combination of canonical basis words of one degree."""
@@ -225,9 +235,9 @@ def signed_set_permutations(spec: AltSpec):
     for s in spec.sets:
         elems = sorted(s)
         choices = []
-        for perm in itertools.permutations(elems):
-            sign = _perm_sign(elems, perm)
-            choices.append((dict(zip(elems, perm)), sign))
+        for perm in itertools.permutations(range(1, len(elems) + 1)):
+            mapping = {v: elems[j - 1] for v, j in zip(elems, perm)}
+            choices.append((mapping, perm_sign(perm)))
         per_set.append(choices)
     for combo in itertools.product(*per_set):
         mapping: dict[int, int] = {}
@@ -238,18 +248,17 @@ def signed_set_permutations(spec: AltSpec):
         yield mapping, sign
 
 
-def _perm_sign(src, dst) -> int:
-    pos = {v: i for i, v in enumerate(dst)}
-    perm = [pos[v] for v in src]
+def perm_sign(p: tuple[int, ...]) -> int:
+    """Sign of the permutation i -> p[i-1] of {1..len(p)}."""
     sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
+    seen = [False] * len(p)
+    for i in range(len(p)):
         if seen[i]:
             continue
         j, length = i, 0
         while not seen[j]:
             seen[j] = True
-            j = perm[j]
+            j = p[j] - 1
             length += 1
         if length % 2 == 0:
             sign = -sign

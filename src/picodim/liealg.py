@@ -197,7 +197,6 @@ class SimpleComponent:
 @dataclass(frozen=True)
 class StructureReport:
     algebra: LieAlgebra
-    radical: Subspace
     nilradical: Subspace
     nil_class: int
     quotient: LieAlgebra
@@ -217,11 +216,7 @@ class StructureReport:
 
     def lift(self, g: Vector) -> Vector:
         """Section of the quotient map: representative in L of a quotient vector."""
-        out = zero_vec(self.algebra.dim)
-        for coeff, idx in zip(g, self._rep_indices):
-            if coeff != 0:
-                out = vec_add(out, vec_scale(coeff, self.algebra.basis_vector(idx)))
-        return out
+        return _lift(g, self._rep_indices, self.algebra.dim)
 
     def component_project(self, g: Vector, i: int) -> Vector:
         """Projection of a quotient vector onto component i along the others."""
@@ -460,7 +455,6 @@ def analyze(algebra: LieAlgebra, seed: int = 0) -> StructureReport:
         components.append(SimpleComponent(space, lifted))
     return StructureReport(
         algebra=algebra,
-        radical=rad,
         nilradical=rad,
         nil_class=q,
         quotient=quotient,

@@ -175,14 +175,10 @@ def rank_modular(m: Matrix, trials: int = 3, seed: int = 0, bits: int = 31) -> i
     return best
 
 
-def rank(m: Matrix, mode: str = "exact", *, trials: int = 3, seed: int = 0) -> int:
+def rank(m: Matrix) -> int:
     if m and any(len(r) != len(m[0]) for r in m):
         raise MalformedInputError("inconsistent row lengths")
-    if mode == "exact":
-        return rank_exact(m)
-    if mode == "modular":
-        return rank_modular(m, trials=trials, seed=seed)
-    raise MalformedInputError(f"unknown rank mode {mode!r}")
+    return rank_exact(m)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import factorial
 
 from .errors import MalformedInputError
-from .freelie import MultilinearPolynomial, linear_combination, permute
+from .freelie import MultilinearPolynomial, linear_combination, perm_sign, permute
 
 Perm = tuple[int, ...]
 
@@ -24,22 +24,6 @@ def identity_perm(n: int) -> Perm:
 
 def compose(s: Perm, t: Perm) -> Perm:
     return tuple(s[t[i] - 1] for i in range(len(t)))
-
-
-def perm_sign(p: Perm) -> int:
-    sign = 1
-    seen = [False] * len(p)
-    for i in range(len(p)):
-        if seen[i]:
-            continue
-        j, length = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = p[j] - 1
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
 
 
 @dataclass(frozen=True, order=True)

@@ -2,8 +2,9 @@
 
 Everything here is deliberately independent of the library internals it
 checks: direct tree evaluation, brute-force tableau counting, an
-exhaustive bracketing enumeration for the exponent candidate, and the
-symbolic Capelli check that the alternated-identity scan replaced.
+exhaustive bracketing enumeration for the exponent candidate, the
+symbolic Capelli check that the alternated-identity scan replaced, and
+the listed sample that its index sampling replaced.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from fractions import Fraction
 
 from picodim import AltSpec, CodimEngine, LieAlgebra, validate
 from picodim.errors import MalformedInputError
+from picodim.evaluation import SampledMode, _AlternatedChecker, _set_assignments
 from picodim.freelie import MultilinearPolynomial, alternate, basis_Pn
 from picodim.liealg import StructureReport
 from picodim.linalg import invert, zero_vec
@@ -164,3 +166,19 @@ def symbolic_capelli_holds(engine: CodimEngine, t: int, n: int) -> bool:
             if not engine.is_identity(f):
                 return False
     return True
+
+
+def listed_sample_scan(engine: CodimEngine, n: int, r: int, k: int,
+                       mode: SampledMode):
+    """Oracle for sampled `_AlternatedChecker.scan`: lists every
+    (word, sets) item, then samples `mode.count` of them from the list."""
+    items = [(w, sets) for sets in _set_assignments(n, r, k) for w in basis_Pn(n)]
+    exhaustive = mode.count >= len(items)
+    if not exhaustive:
+        items = random.Random(mode.seed).sample(items, mode.count)
+    checker = _AlternatedChecker(engine)
+    for checks, (word, sets) in enumerate(items, 1):
+        found = checker.find_nonzero(word, sets)
+        if found is not None:
+            return checks, exhaustive, (word, sets) + found
+    return len(items), exhaustive, None

@@ -126,10 +126,15 @@ def test_hypothesis_failure_exit_code():
 
 
 def test_budget_exceeded_exit_code():
-    code, payload = invoke_json("codim", "sl2", "--n", "5", "--budget", "10",
-                                "--no-cache")
-    assert code == 4
-    assert payload["error"] == "budget-exceeded"
+    for argv in (
+        ("codim", "sl2", "--n", "5", "--budget", "10"),
+        # more alternations than random.sample can index
+        ("capelli", "sl2", "--t", "2", "--n", "40", "--mode", "sampled",
+         "--samples", "10"),
+    ):
+        code, payload = invoke_json(*argv, "--no-cache")
+        assert code == 4
+        assert payload["error"] == "budget-exceeded"
 
 
 def test_global_flags_accepted_before_subcommand():

@@ -12,10 +12,11 @@ from picodim import (
     evaluate,
 )
 from picodim.errors import BudgetExceededError, MalformedInputError
+from picodim.evaluation import _AlternatedChecker
 from picodim.freelie import MultilinearPolynomial, rewrite, rewrite_word
 from picodim.linalg import is_zero_vec, unit_vec
 
-from helpers import random_invertible, symbolic_capelli_holds
+from helpers import listed_sample_scan, random_invertible, symbolic_capelli_holds
 
 
 def test_evaluate_abelian_kills_higher_degrees():
@@ -99,6 +100,27 @@ def test_codimension_sampled_never_exceeds_exact(engine_for):
             for seed in range(3):
                 sampled = engine.codimension(n, SampledMode(count=40, seed=seed))
                 assert sampled <= exact
+
+
+def test_codimension_sampled_answers_are_pinned(engine_for):
+    # values of the two-loop column selection this one replaced
+    engine = engine_for("sl2_natural")
+    pinned = {5: [24, 24, 11], 6: [42, 38, 46]}
+    for n, expected in pinned.items():
+        got = [engine.codimension(n, SampledMode(count=400, seed=s)) for s in range(3)]
+        assert got == expected, n
+
+
+def test_unknown_mode_is_rejected(engine_for):
+    engine = engine_for("sl2")
+    for call in (
+        lambda: engine.codimension(2, "fast"),
+        lambda: engine.cocharacter(2, "fast"),
+        lambda: engine.is_identity(rewrite((1, 2)), "fast"),
+        lambda: engine.capelli_holds(2, 3, "fast"),
+    ):
+        with pytest.raises(MalformedInputError):
+            call()
 
 
 def test_codimension_budget_exceeded():
@@ -241,3 +263,26 @@ def test_capelli_sampled_refutes_only_false_checks(engine_for):
     for seed in range(3):
         assert gl2.capelli_holds(4, 5, SampledMode(count=20, seed=seed))
         assert not sl2.capelli_holds(3, 4, SampledMode(count=20, seed=seed))
+
+
+def test_sampled_scan_matches_listed_sample(engine_for):
+    # sampling positions from range(total) draws the same items as
+    # sampling from the listed items, so every answer is unchanged
+    for name in ("gl2", "sl2"):
+        checker = _AlternatedChecker(engine_for(name))
+        for n in range(2, 7):
+            for r, k in ((1, 1), (2, 1), (3, 1), (4, 1), (2, 2), (3, 2), (2, 3)):
+                if r * k > n:
+                    continue
+                for count, seed in ((3, 0), (10, 1), (10, 2), (200, 3)):
+                    mode = SampledMode(count=count, seed=seed)
+                    assert checker.scan(n, r, k, mode) == listed_sample_scan(
+                        checker.engine, n, r, k, mode
+                    ), (name, n, r, k, count, seed)
+
+
+def test_sampled_capelli_at_high_degree_lists_nothing(engine_for):
+    sl2 = engine_for("sl2")
+    # 120 * 9! items: the sample is decoded from positions, not a list
+    assert not sl2.capelli_holds(3, 10, SampledMode(count=10))
+    assert sl2.capelli_holds(4, 12, SampledMode(count=10))

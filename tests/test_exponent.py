@@ -1,6 +1,7 @@
 import pytest
 
 from picodim import (
+    CodimEngine,
     ExactMode,
     QPolySpec,
     SampledMode,
@@ -164,6 +165,21 @@ def test_verify_upper_budget():
         verify_upper(algebra, QPolySpec(r=4, k=1, n=5), budget=3)
 
 
+def test_verify_upper_rank_above_dimension_reports_a_full_pass(engine_for):
+    # r > dim L vanishes at once, with the counts a full pass would give
+    engine = engine_for("sl2")
+    spec = QPolySpec(r=4, k=1, n=5)
+    for mode, checks, exhaustive in (
+        (ExactMode(), 120, True),
+        (SampledMode(count=10), 10, False),
+        (SampledMode(count=500), 120, True),
+    ):
+        verdict = verify_upper(engine.algebra, spec, mode=mode, engine=engine)
+        assert (verdict.passed, verdict.checks, verdict.exhaustive) == (
+            True, checks, exhaustive
+        )
+
+
 def test_verify_upper_sampled_mode(engine_for):
     engine = engine_for("sl2_natural")
     verdict = verify_upper(
@@ -198,6 +214,20 @@ def test_find_lower_witness_sl2_natural(engine_for):
     assert witness is not None
     assert witness.spec.n <= 6
     assert "Alt[" in witness.describe(engine.algebra)
+
+
+def test_find_lower_witness_first_witness_is_pinned(engine_for):
+    # the scan keeps the (set assignment, word) order of the loop it replaced
+    cases = {
+        ("sl2", 3, 1, 5): (4, (1, 2, 3, 4), ((1, 2, 3),),
+                           {1: 0, 2: 1, 3: 2, 4: 0}),
+        ("sl2_natural", 3, 2, 8): (6, (1, 2, 4, 3, 5, 6), ((1, 2, 3), (4, 5, 6)),
+                                   {1: 0, 2: 1, 3: 2, 4: 0, 5: 1, 6: 4}),
+    }
+    for (name, r, k, n_max), expected in cases.items():
+        engine = engine_for(name)
+        w = find_lower_witness(engine.algebra, r, k, n_max, engine=engine)
+        assert (w.spec.n, w.word, w.sets, w.assignment) == expected, name
 
 
 def test_find_lower_witness_abelian_returns_none():
@@ -248,6 +278,21 @@ def test_growth_report_sl2(engine_for):
         assert row.codimension == table.codimension_sum
         assert row.colength == table.colength
     assert report.d == 3
+
+
+def test_sampled_growth_builds_each_column_space_once(monkeypatch):
+    built = []
+    sampled_columns = CodimEngine.sampled_columns
+
+    def counting(engine, n, mode):
+        built.append(n)
+        return sampled_columns(engine, n, mode)
+
+    monkeypatch.setattr(CodimEngine, "sampled_columns", counting)
+    report = growth_report(catalog_algebra("sl2_natural"), 5,
+                           SampledMode(count=50, seed=0))
+    assert built == [1, 2, 3, 4, 5]
+    assert report.rows[-1].colength  # the cocharacter reused the columns
 
 
 def test_growth_report_d_is_none_when_hypotheses_fail():
