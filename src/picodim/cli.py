@@ -231,7 +231,8 @@ def _global_options() -> argparse.ArgumentParser:
     # SUPPRESS defaults so flags work both before and after the subcommand
     common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     common.add_argument("--mode", choices=["exact", "sampled"])
-    common.add_argument("--seed", type=int)
+    common.add_argument("--seed", type=int,
+                        help="random seed of sampled mode")
     common.add_argument("--budget", type=int,
                         help="max basis tuples for exhaustive evaluation")
     common.add_argument("--samples", type=int,
@@ -385,7 +386,7 @@ def _dispatch(args, config: RunConfig) -> dict:
         return _structure_payload(algebra)
 
     if args.command == "exponent":
-        report = pi_exponent_candidate(algebra, seed=config.seed)
+        report = pi_exponent_candidate(algebra)
         return {
             "d": report.d,
             "maximizing_components": list(report.maximizing_subset),
@@ -423,7 +424,7 @@ def _dispatch(args, config: RunConfig) -> dict:
         }
 
     if args.command == "verify-upper":
-        report = pi_exponent_candidate(algebra, seed=config.seed)
+        report = pi_exponent_candidate(algebra)
         r = args.r if args.r is not None else report.d + 1
         k = args.k if args.k is not None else report.structure.nil_class
         n = args.n if args.n is not None else r * k
@@ -442,7 +443,7 @@ def _dispatch(args, config: RunConfig) -> dict:
         }
 
     if args.command == "find-witness":
-        report = pi_exponent_candidate(algebra, seed=config.seed)
+        report = pi_exponent_candidate(algebra)
         r = args.r if args.r is not None else report.d
         if r < 1:
             raise HypothesisFailure("exponent candidate is 0: no witness search")
@@ -457,8 +458,7 @@ def _dispatch(args, config: RunConfig) -> dict:
         }
 
     if args.command == "growth":
-        report = growth_report(algebra, args.max_n, mode, engine=engine,
-                               seed=config.seed)
+        report = growth_report(algebra, args.max_n, mode, engine=engine)
         return {
             "rows": [
                 {

@@ -10,13 +10,13 @@ maximal independent set is kept; a polynomial is an identity iff its
 coefficient vector pairs to zero with every kept column.
 
 Only two methods choose between exact and sampled mode:
-`CodimEngine.columns` (all basis tuples, or random ones until (n-1)!
-tuples in a row add no column) and `_AlternatedChecker.scan` (every
-alternation, or a random sample of them).  Alternations of basis words
-are never built symbolically: the scan evaluates them on strictly
-increasing basis assignments of each alternating set, for
-`capelli_holds`, `exponent.verify_upper` and
-`exponent.find_lower_witness`.  Exact verdicts are proofs; sampled mode
+`CodimEngine.columns` (all basis tuples, or `count` random ones; both
+stop early only at full rank (n-1)!), which `is_identity` pairs against
+in either mode, and `_AlternatedChecker.scan` (every alternation, or a
+random sample of them).  Alternations of basis words are never built
+symbolically: the scan evaluates them on strictly increasing basis
+assignments of each alternating set, for `capelli_holds`,
+`exponent.verify_upper` and `exponent.find_lower_witness`.  Exact verdicts are proofs; sampled mode
 only refutes, so its c_n and m_lambda are lower bounds.
 """
 
@@ -221,33 +221,29 @@ class CodimEngine:
         """Columns of every basis tuple, until the rank reaches (n-1)!."""
         self._require_budget(n)
         tuples = itertools.product(range(self.algebra.dim), repeat=n)
-        return self._select(n, tuples, plateau=None)
+        return self._select(n, tuples)
 
     def sampled_columns(self, n: int, mode: SampledMode) -> _ColumnSpace:
-        """Columns of `mode.count` random basis tuples; stops early once
-        (n-1)! tuples in a row add no column."""
+        """Columns of `mode.count` random basis tuples, until the rank
+        reaches (n-1)!."""
         rng = random.Random(mode.seed)
         p = self.algebra.dim
         tuples = (
             tuple(rng.randrange(p) for _ in range(n)) for _ in range(mode.count)
         )
-        return self._select(n, tuples, plateau=dim_Pn(n))
+        return self._select(n, tuples)
 
-    def _select(self, n: int, tuples: Iterable[tuple[int, ...]],
-                plateau: int | None) -> _ColumnSpace:
+    def _select(self, n: int, tuples: Iterable[tuple[int, ...]]) -> _ColumnSpace:
         words = basis_Pn(n)
         space = _ColumnSpace()
         seen: set = set()
-        since_increase = 0
         for tup in tuples:
-            increased = False
             for col in self._tuple_columns(words, tup):
                 if col in seen:
                     continue
                 seen.add(col)
-                increased = space.insert(col) or increased
-            since_increase = 0 if increased else since_increase + 1
-            if space.rank == len(words) or since_increase == plateau:
+                space.insert(col)
+            if space.rank == len(words):
                 break
         return space
 
@@ -265,21 +261,11 @@ class CodimEngine:
     def is_identity(self, f: MultilinearPolynomial, mode: Mode = ExactMode()) -> bool:
         """Exhaustive mode is sound and complete; sampled mode can only
         refute, so True means "not refuted"."""
-        n = f.degree
         if f.is_zero():
             return True
-        if isinstance(mode, SampledMode):
-            rng = random.Random(mode.seed)
-            p = self.algebra.dim
-            for _ in range(mode.count):
-                tup = [
-                    self.algebra.basis_vector(rng.randrange(p)) for _ in range(n)
-                ]
-                if not is_zero_vec(evaluate(f, tup, self.algebra)):
-                    return False
-            return True  # not refuted
-        coeffs = f.coefficient_vector(basis_Pn(n))
-        return all(x == 0 for x in self.pairing(coeffs, self.columns(n, mode)))
+        coeffs = f.coefficient_vector(basis_Pn(f.degree))
+        space = self.columns(f.degree, mode)
+        return all(x == 0 for x in self.pairing(coeffs, space))
 
     def cocharacter(self, n: int, mode: Mode = ExactMode()) -> CocharacterTable:
         space = self.columns(n, mode)

@@ -145,8 +145,8 @@ class ExponentReport:
         return format_product(self.structure.algebra, self.witness_expr)
 
 
-def pi_exponent_candidate(algebra: LieAlgebra, seed: int = 0) -> ExponentReport:
-    report = analyze(algebra, seed=seed)
+def pi_exponent_candidate(algebra: LieAlgebra) -> ExponentReport:
+    report = analyze(algebra)
     table = height_spans(report)
     best_subset = frozenset()
     best = 0
@@ -303,7 +303,6 @@ def growth_report(
     n_max: int,
     mode: Mode = ExactMode(),
     engine: CodimEngine | None = None,
-    seed: int = 0,
 ) -> GrowthReport:
     from .errors import HypothesisFailure
 
@@ -314,7 +313,7 @@ def growth_report(
         colength = engine.cocharacter(n, mode).colength if c else 0
         rows.append(GrowthRow(n, c, colength, float(c) ** (1.0 / n) if c else 0.0))
     try:
-        d = pi_exponent_candidate(algebra, seed=seed).d
+        d = pi_exponent_candidate(algebra).d
     except HypothesisFailure:
         d = None
     return GrowthReport(tuple(rows), d)

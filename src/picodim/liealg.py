@@ -1,8 +1,10 @@
 """Finite-dimensional Lie algebras over Q from structure constants.
 
 Structure theory: Killing form, solvable radical, nilpotency class,
-semisimple quotient, decomposition into simple ideals via centroid
-idempotents, and adapted bases lifted back into the algebra.
+semisimple quotient, decomposition into simple ideals as the joint
+eigenspaces of the centroid, and adapted bases lifted back into the
+algebra.  Every step is deterministic: a report depends on the
+structure constants alone.
 
 Everything is exact.  The quotient's simple components must be split
 over Q; otherwise their dimensions could change under scalar extension
@@ -11,7 +13,6 @@ and we raise NotSplitError instead of reporting a wrong answer.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -43,8 +44,6 @@ from .linalg import (
     vec_scale,
     zero_vec,
 )
-
-_CENTROID_RETRIES = 8
 
 
 @dataclass(frozen=True)
@@ -344,8 +343,11 @@ def _rational_roots(coeffs: list[Fraction]) -> list[Fraction]:
     return roots
 
 
-def simple_decomposition(algebra: LieAlgebra, seed: int = 0) -> list[Subspace]:
-    """Pairwise Killing-orthogonal simple ideals of a semisimple algebra."""
+def simple_decomposition(algebra: LieAlgebra) -> list[Subspace]:
+    """Pairwise Killing-orthogonal simple ideals of a semisimple algebra.
+
+    The centroid acts on each simple ideal by a scalar, so the ideals are
+    the joint eigenspaces of a centroid basis."""
     p = algebra.dim
     if p == 0:
         raise NotSemisimpleError("zero algebra has no simple decomposition")
@@ -353,61 +355,36 @@ def simple_decomposition(algebra: LieAlgebra, seed: int = 0) -> list[Subspace]:
     if rank_exact(kappa) != p:
         raise NotSemisimpleError("Killing form is degenerate")
     cent = centroid(algebra)
-    m = len(cent)
-    if m == 1:
+    if len(cent) == 1:
         return [Subspace.full(p)]
-    rng = random.Random(seed)
-    for _ in range(_CENTROID_RETRIES):
-        weights = [Fraction(rng.randint(-9, 9)) for _ in range(m)]
-        x = tuple(
-            tuple(
-                sum(
-                    (weights[t] * cent[t][r][c] for t in range(m)),
-                    Fraction(0),
-                )
-                for c in range(p)
-            )
-            for r in range(p)
-        )
+    components = [Subspace.full(p)]
+    for x in cent:
         minpoly = _minimal_polynomial(x, p)
         degree = len(minpoly) - 1
-        if degree != m:
-            continue
         roots = _rational_roots(minpoly)
         if len(roots) != degree:
             raise NotSplitError(
                 "centroid minimal polynomial does not split over Q with "
                 f"distinct roots (degree {degree}, rational roots {len(roots)})"
             )
-        components = []
-        identity = tuple(
-            tuple(Fraction(1 if r == c else 0) for c in range(p)) for r in range(p)
-        )
-        for r_i in roots:
-            proj = identity
-            for r_j in roots:
-                if r_j == r_i:
-                    continue
-                shifted = tuple(
-                    tuple(
-                        (x[a][b] - r_j * identity[a][b]) / (r_i - r_j)
-                        for b in range(p)
-                    )
-                    for a in range(p)
-                )
-                proj = mat_mul(proj, shifted)
-            image = Subspace.from_vectors(
-                p, [tuple(proj[a][b] for a in range(p)) for b in range(p)]
+        eigenspaces = []
+        for r in roots:
+            shifted = tuple(
+                tuple(x[a][b] - (r if a == b else 0) for b in range(p))
+                for a in range(p)
             )
-            components.append(image)
-        if sum(c.dim for c in components) != p:
-            raise InternalInvariantError("component dimensions do not sum to dim")
-        components.sort(key=lambda s: (-s.dim, s.basis))
-        return components
-    raise NotSplitError("could not find a generic split centroid element")
+            eigenspaces.append(kernel(shifted, p))
+        parts = [comp.intersect(e) for comp in components for e in eigenspaces]
+        components = [part for part in parts if not part.is_zero()]
+    if len(components) != len(cent) or sum(c.dim for c in components) != p:
+        raise InternalInvariantError(
+            "joint centroid eigenspaces are not one ideal per centroid dimension"
+        )
+    components.sort(key=lambda s: (-s.dim, s.basis))
+    return components
 
 
-def analyze(algebra: LieAlgebra, seed: int = 0) -> StructureReport:
+def analyze(algebra: LieAlgebra) -> StructureReport:
     """Full structure pipeline; raises HypothesisFailure when L is not
     nilpotent-by-semisimple."""
     n = algebra.dim
@@ -440,15 +417,14 @@ def analyze(algebra: LieAlgebra, seed: int = 0) -> StructureReport:
     quotient = LieAlgebra(
         tuple(algebra.labels[i] for i in rep_indices), quotient_table
     )
+    comp_spaces = []
     if p > 0:
-        kappa_q = killing_form(quotient)
-        if rank_exact(kappa_q) != p:
+        try:
+            comp_spaces = simple_decomposition(quotient)
+        except NotSemisimpleError as exc:
             raise InternalInvariantError(
                 "quotient by the radical has degenerate Killing form"
-            )
-        comp_spaces = simple_decomposition(quotient, seed=seed)
-    else:
-        comp_spaces = []
+            ) from exc
     components = []
     for space in comp_spaces:
         lifted = tuple(_lift(g, rep_indices, n) for g in space.basis)

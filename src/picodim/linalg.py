@@ -34,10 +34,6 @@ def vec_add(a: Vector, b: Vector) -> Vector:
     return tuple(x + y for x, y in zip(a, b))
 
 
-def vec_sub(a: Vector, b: Vector) -> Vector:
-    return tuple(x - y for x, y in zip(a, b))
-
-
 def vec_scale(c: Fraction, a: Vector) -> Vector:
     return tuple(c * x for x in a)
 
@@ -226,9 +222,6 @@ class Subspace:
     def contains(self, v: Vector) -> bool:
         return is_zero_vec(self.reduce(v))
 
-    def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(r) for r in other.basis)
-
     def add(self, other: "Subspace") -> "Subspace":
         if self.ambient != other.ambient:
             raise MalformedInputError("ambient dimension mismatch")
@@ -263,10 +256,6 @@ class Subspace:
 
 def span_add(a: Subspace, b: Subspace) -> Subspace:
     return a.add(b)
-
-
-def contains(s: Subspace, v: Vector) -> bool:
-    return s.contains(v)
 
 
 def kernel(m: Matrix, ncols: int) -> Subspace:

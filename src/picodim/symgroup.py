@@ -150,12 +150,6 @@ class GroupAlgebraElement:
             self.degree, {p: c * x for p, x in self.terms.items()}
         )
 
-    def __sub__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
-        out = dict(self.terms)
-        for p, c in other.terms.items():
-            out[p] = out.get(p, Fraction(0)) - c
-        return GroupAlgebraElement(self.degree, out)
-
 
 def _stabilizer_perms(groups: list[tuple[int, ...]], n: int):
     """All permutations fixing each block setwise, as full degree-n perms."""

@@ -3,8 +3,9 @@
 Everything here is deliberately independent of the library internals it
 checks: direct tree evaluation, brute-force tableau counting, an
 exhaustive bracketing enumeration for the exponent candidate, the
-symbolic Capelli check that the alternated-identity scan replaced, and
-the listed sample that its index sampling replaced.
+symbolic Capelli check that the alternated-identity scan replaced, the
+listed sample that its index sampling replaced, and the random centroid
+element that the joint-eigenspace split replaced.
 """
 
 from __future__ import annotations
@@ -17,8 +18,15 @@ from picodim import AltSpec, CodimEngine, LieAlgebra, validate
 from picodim.errors import MalformedInputError
 from picodim.evaluation import SampledMode, _AlternatedChecker, _set_assignments
 from picodim.freelie import MultilinearPolynomial, alternate, basis_Pn
-from picodim.liealg import StructureReport
-from picodim.linalg import invert, zero_vec
+from picodim.errors import NotSemisimpleError, NotSplitError
+from picodim.liealg import (
+    StructureReport,
+    _minimal_polynomial,
+    _rational_roots,
+    centroid,
+    killing_form,
+)
+from picodim.linalg import Subspace, invert, mat_mul, rank_exact, zero_vec
 from picodim.symgroup import Partition
 
 
@@ -70,6 +78,26 @@ def direct_sum(a: LieAlgebra, b: LieAlgebra) -> LieAlgebra:
         table[(i + n, j + n)] = zero_vec(n) + tuple(v)
     labels = tuple(f"a_{l}" for l in a.labels) + tuple(f"b_{l}" for l in b.labels)
     return validate(labels, table)
+
+
+def sl2_over_sqrt2() -> LieAlgebra:
+    """sl2 over Q(sqrt 2) as a 6-dim Q-algebra with basis e, h, f,
+    sqrt2 e, sqrt2 h, sqrt2 f: simple over Q, but its centroid is Q(sqrt 2),
+    so the simple component does not split over Q."""
+    sl2 = validate(("e", "h", "f"), {(0, 1): (-2, 0, 0), (0, 2): (0, 1, 0),
+                                     (1, 2): (0, 0, -2)})
+    table = {}
+    for i in range(6):
+        for j in range(i + 1, 6):
+            (si, a), (sj, b) = divmod(i, 3), divmod(j, 3)
+            value = [Fraction(0)] * 6
+            for k, c in enumerate(sl2.bracket_basis(a, b)):
+                if si + sj == 2:  # sqrt2 * sqrt2 = 2
+                    value[k] += 2 * c
+                else:
+                    value[3 * (si + sj) + k] += c
+            table[(i, j)] = value
+    return validate(("e", "h", "f", "re", "rh", "rf"), table)
 
 
 def count_standard_tableaux(shape: Partition) -> int:
@@ -182,3 +210,48 @@ def listed_sample_scan(engine: CodimEngine, n: int, r: int, k: int,
         if found is not None:
             return checks, exhaustive, (word, sets) + found
     return len(items), exhaustive, None
+
+
+def randomized_simple_decomposition(algebra: LieAlgebra, seed: int):
+    """Oracle for `liealg.simple_decomposition`: the ideals as the images
+    of the spectral idempotents of one random centroid element, retried
+    up to 8 times until its minimal polynomial has the centroid's degree."""
+    p = algebra.dim
+    if p == 0 or rank_exact(killing_form(algebra)) != p:
+        raise NotSemisimpleError("not semisimple")
+    cent = centroid(algebra)
+    m = len(cent)
+    if m == 1:
+        return [Subspace.full(p)]
+    identity = tuple(
+        tuple(Fraction(1 if r == c else 0) for c in range(p)) for r in range(p)
+    )
+    rng = random.Random(seed)
+    for _ in range(8):
+        weights = [Fraction(rng.randint(-9, 9)) for _ in range(m)]
+        x = tuple(
+            tuple(sum(w * c[r][col] for w, c in zip(weights, cent)) for col in range(p))
+            for r in range(p)
+        )
+        minpoly = _minimal_polynomial(x, p)
+        if len(minpoly) - 1 != m:
+            continue
+        roots = _rational_roots(minpoly)
+        if len(roots) != m:
+            raise NotSplitError("centroid element does not split over Q")
+        components = []
+        for r_i in roots:
+            proj = identity
+            for r_j in roots:
+                if r_j != r_i:
+                    shifted = tuple(
+                        tuple((x[a][b] - r_j * identity[a][b]) / (r_i - r_j)
+                              for b in range(p))
+                        for a in range(p)
+                    )
+                    proj = mat_mul(proj, shifted)
+            columns = [tuple(proj[a][b] for a in range(p)) for b in range(p)]
+            components.append(Subspace.from_vectors(p, columns))
+        components.sort(key=lambda s: (-s.dim, s.basis))
+        return components
+    raise NotSplitError("no centroid element of full degree")

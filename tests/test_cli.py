@@ -4,6 +4,8 @@ import json
 from picodim import catalog_algebra, to_json_dict
 from picodim.cli import load_algebra, run
 
+from helpers import sl2_over_sqrt2
+
 
 def invoke(*argv):
     out = io.StringIO()
@@ -123,6 +125,15 @@ def test_hypothesis_failure_exit_code():
     code, payload = invoke_json("analyze", "solvable2", "--no-cache")
     assert code == 3
     assert payload["error"] == "hypothesis-failure"
+
+
+def test_non_split_component_exit_code(tmp_path):
+    path = tmp_path / "sl2_sqrt2.json"
+    path.write_text(json.dumps(to_json_dict(sl2_over_sqrt2())))
+    code, payload = invoke_json("exponent", str(path), "--no-cache")
+    assert code == 3
+    assert payload["error"] == "hypothesis-failure"
+    assert "does not split" in payload["message"]
 
 
 def test_budget_exceeded_exit_code():

@@ -295,6 +295,14 @@ def test_sampled_growth_builds_each_column_space_once(monkeypatch):
     assert report.rows[-1].colength  # the cocharacter reused the columns
 
 
+def test_sampled_growth_does_not_stop_on_a_useless_tuple():
+    # a repeated-index tuple adds no column; at n = 2 and 3 the run must
+    # go on past one or two of them to reach the exact c_2 and c_3
+    report = growth_report(catalog_algebra("sl2_natural"), 5,
+                           SampledMode(count=50, seed=0))
+    assert [row.codimension for row in report.rows[:3]] == [1, 1, 2]
+
+
 def test_growth_report_d_is_none_when_hypotheses_fail():
     report = growth_report(catalog_algebra("solvable2"), 2)
     assert report.d is None

@@ -20,11 +20,17 @@ from picodim.errors import (
     JacobiError,
     MalformedInputError,
     NotSemisimpleError,
+    NotSplitError,
 )
-from picodim.liealg import is_solvable, nilpotency_class
-from picodim.linalg import Subspace, is_zero_vec, unit_vec, vec
+from picodim.liealg import centroid, is_solvable, nilpotency_class
+from picodim.linalg import Subspace, is_zero_vec, mat_mul, unit_vec, vec
 
-from helpers import direct_sum, random_invertible
+from helpers import (
+    direct_sum,
+    random_invertible,
+    randomized_simple_decomposition,
+    sl2_over_sqrt2,
+)
 
 
 def unit(n, k, c=1):
@@ -242,6 +248,37 @@ def test_simple_decomposition_rejects_non_semisimple():
         simple_decomposition(catalog_algebra("abelian3"))
     with pytest.raises(NotSemisimpleError):
         simple_decomposition(catalog_algebra("gl2"))
+
+
+def test_simple_decomposition_matches_randomized_oracle():
+    semisimple = [
+        analyze(catalog_algebra(name)).quotient
+        for name in ("sl2", "gl2", "sl2_plus_sl2", "sl2_natural", "sl2_adjoint")
+    ]
+    pair = catalog_algebra("sl2_plus_sl2")
+    semisimple.append(direct_sum(pair, catalog_algebra("sl2")))
+    # unimodular: identity plus cross-ideal entries, upper times lower
+    upper = [list(unit_vec(6, i)) for i in range(6)]
+    lower = [list(unit_vec(6, i)) for i in range(6)]
+    upper[0][3], upper[1][4], upper[2][5] = 1, 2, -1
+    lower[3][0], lower[5][1] = 1, 1
+    mixing = mat_mul(tuple(map(tuple, upper)), tuple(map(tuple, lower)))
+    semisimple.append(change_basis(pair, mixing))
+    for algebra in semisimple:
+        parts = simple_decomposition(algebra)
+        assert len(parts) == len(centroid(algebra))
+        for seed in range(3):
+            assert randomized_simple_decomposition(algebra, seed) == parts
+    assert [p.dim for p in simple_decomposition(semisimple[-1])] == [3, 3]
+
+
+def test_non_split_component_raises():
+    algebra = sl2_over_sqrt2()
+    assert len(centroid(algebra)) == 2  # Q(sqrt 2)
+    with pytest.raises(NotSplitError):
+        analyze(algebra)
+    with pytest.raises(NotSplitError):
+        randomized_simple_decomposition(algebra, 0)
 
 
 def test_components_bracket_structure():

@@ -44,4 +44,7 @@ def test_tracer_installs_and_traces_every_layer():
         "evaluation.capelli",
         "exponent.alt_check",
         "exponent.growth",
+        "exponent.candidate",
+        "exponent.height_spans",
+        "liealg.analyze",
     } <= spans
