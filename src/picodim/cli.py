@@ -15,6 +15,7 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
+from . import __version__
 from .errors import (
     BudgetExceededError,
     HypothesisFailure,
@@ -46,6 +47,14 @@ from .liealg import (
 
 SCHEMA_VERSION = 1
 
+# The algorithm behind each exact answer that is cached.  Exact
+# provenance and cache keys carry it with the library version, so a
+# changed algorithm never replays a result its predecessor computed.
+ALGORITHMS = {
+    "codim": "multilinear-column-rank",
+    "cocharacter": "multihomogeneous-ranks",
+}
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -66,13 +75,17 @@ class RunConfig:
             return SampledMode(count=self.sample_count, seed=self.seed)
         raise MalformedInputError(f"unknown mode {self.mode!r}")
 
-    def provenance(self) -> dict:
-        return {
+    def provenance(self, command: str) -> dict:
+        out = {
+            "version": __version__,
             "mode": self.mode,
             "seed": self.seed,
             "tuple_budget": self.tuple_budget,
             "sample_count": self.sample_count,
         }
+        if command in ALGORITHMS and self.mode == "exact":
+            out["algorithm"] = ALGORITHMS[command]
+        return out
 
 
 class ResultStore:
@@ -96,6 +109,8 @@ class ResultStore:
             {
                 "algebra": to_json_dict(algebra),
                 "op": operation,
+                "algorithm": ALGORITHMS[operation],
+                "version": __version__,
                 "params": params,
                 "v": SCHEMA_VERSION,
             },
@@ -151,9 +166,9 @@ def _cocharacter_payload(table: CocharacterTable) -> dict:
     }
 
 
-def _emit(payload: dict, config: RunConfig, out) -> None:
+def _emit(payload: dict, config: RunConfig, out, command: str) -> None:
     payload = dict(payload)
-    payload["provenance"] = config.provenance()
+    payload["provenance"] = config.provenance(command)
     if config.output_format == "json":
         out.write(json.dumps(payload, indent=2, default=str) + "\n")
     elif config.output_format == "csv":
@@ -234,7 +249,9 @@ def _global_options() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int,
                         help="random seed of sampled mode")
     common.add_argument("--budget", type=int,
-                        help="max basis tuples for exhaustive evaluation")
+                        help="max basis tuples for exhaustive evaluation; for "
+                        "exact cocharacter, max generic evaluation points "
+                        "(xi-monomials, summed over the contents mu)")
     common.add_argument("--samples", type=int,
                         help="sample count for sampled mode")
     common.add_argument("--format", choices=["json", "csv", "text"])
@@ -327,7 +344,7 @@ def run(argv=None, stdout=None) -> int:
                 ) from exc
             close_out = True
         payload = _dispatch(args, config)
-        _emit(payload, config, out)
+        _emit(payload, config, out, args.command)
         return 0
     except MalformedInputError as exc:
         _emit_error(stdout, "malformed-input", exc)

@@ -2,21 +2,31 @@
 decision, codimensions c_n, cocharacter multiplicities m_lambda,
 colengths l_n, and alternated-identity checks.
 
-The workhorse is the evaluation matrix: rows are canonical basis words
-of P_n, columns are (basis tuple, coordinate) pairs.  Exhausting all
-dim(L)^n basis tuples is sound and complete by multilinearity, so the
-row space dimension is exactly c_n(L).  Columns are deduplicated and a
-maximal independent set is kept; a polynomial is an identity iff its
+The workhorse of c_n is the evaluation matrix: rows are canonical basis
+words of P_n, columns are (basis tuple, coordinate) pairs.  Exhausting
+all dim(L)^n basis tuples is sound and complete by multilinearity, so
+the row space dimension is exactly c_n(L).  Columns are deduplicated and
+a maximal independent set is kept; a polynomial is an identity iff its
 coefficient vector pairs to zero with every kept column.
 
-Only two methods choose between exact and sampled mode:
+Exact m_lambda come from multihomogeneous ranks instead: S_n-cocharacters
+are GL_m-characters of the relatively free algebra F_m(L) (Berele 1982,
+Drensky 1984), so m_lambda is an alternating sum of the dimensions h(mu)
+of its content-mu parts, each the rank of a small integer matrix of
+right-normed words evaluated at generic elements (`_ContentRanks`).
+Every rank, of either matrix, comes from `_ColumnSpace`, which
+eliminates fraction-free over the integers.
+
+Three methods choose between exact and sampled mode:
 `CodimEngine.columns` (all basis tuples, or `count` random ones; both
 stop early only at full rank (n-1)!), which `is_identity` pairs against
-in either mode, and `_AlternatedChecker.scan` (every alternation, or a
-random sample of them).  Alternations of basis words are never built
-symbolically: the scan evaluates them on strictly increasing basis
-assignments of each alternating set, for `capelli_holds`,
-`exponent.verify_upper` and `exponent.find_lower_witness`.  Exact verdicts are proofs; sampled mode
+in either mode, `CodimEngine.cocharacter` (multihomogeneous ranks, or
+Young symmetrizer images paired with sampled columns) and
+`_AlternatedChecker.scan` (every alternation, or a random sample of
+them).  Alternations of basis words are never built symbolically: the
+scan evaluates them on strictly increasing basis assignments of each
+alternating set, for `capelli_holds`, `exponent.verify_upper` and
+`exponent.find_lower_witness`.  Exact verdicts are proofs; sampled mode
 only refutes, so its c_n and m_lambda are lower bounds.
 """
 
@@ -27,7 +37,7 @@ import random
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial, gcd, lcm
 from typing import Iterable
 
 from .errors import BudgetExceededError, MalformedInputError
@@ -126,21 +136,29 @@ def evaluate(
 @dataclass
 class _ColumnSpace:
     """Incremental echelon over column vectors; keeps one original column
-    per pivot so the kept set spans the full column space."""
+    per pivot so the kept set spans the full column space.
 
-    pivots: list = field(default_factory=list)  # (lead index, reduced column)
+    Elimination is fraction-free: a column is scaled to integers by the
+    lcm of its denominators, reduced with integer pivots
+    (w <- b*w - a*r) and stored as a primitive pivot."""
+
+    pivots: list = field(default_factory=list)  # (lead index, primitive int column)
     kept: list = field(default_factory=list)  # original independent columns
 
-    def insert(self, col: tuple[Fraction, ...]) -> bool:
-        w = list(col)
+    def insert(self, col) -> bool:
+        scale = lcm(*(x.denominator for x in col))
+        w = [x.numerator * (scale // x.denominator) for x in col]
         for lead, reduced in self.pivots:
-            if w[lead] != 0:
-                f = w[lead]
-                w = [x - f * y for x, y in zip(w, reduced)]
+            a = w[lead]
+            if a:
+                b = reduced[lead]
+                g = gcd(a, b)
+                a, b = a // g, b // g
+                w = [b * x - a * y for x, y in zip(w, reduced)]
         for lead, x in enumerate(w):
-            if x != 0:
-                inv = Fraction(1) / x
-                self.pivots.append((lead, tuple(inv * y for y in w)))
+            if x:
+                g = gcd(*w)
+                self.pivots.append((lead, [y // g for y in w]))
                 self.kept.append(col)
                 return True
         return False
@@ -148,6 +166,121 @@ class _ColumnSpace:
     @property
     def rank(self) -> int:
         return len(self.kept)
+
+
+class _ContentRanks:
+    """h(mu): the dimension of the content-mu part of the relatively free
+    algebra F_m(L), as the rank of the content-mu right-normed words
+    evaluated at generic elements x_i = sum_j xi_ij e_j.
+
+    The words whose innermost letter is a variable of smallest
+    multiplicity span the content-mu part of the free Lie algebra (they
+    are the image of the P_n basis), and a multihomogeneous polynomial is
+    an identity iff it vanishes at generic elements (char 0).  The basis
+    is scaled by the lcm D of the structure-constant denominators, which
+    makes the constants integers and changes no identity, so values are
+    sparse dicts of Python ints.  A value's key is code * p + coordinate,
+    where the xi-monomial prod xi_vj^e is coded as sum e * base^(v*p + j)
+    with base = n + 1, so multiplying by xi_vj is one addition.
+    """
+
+    def __init__(self, algebra: LieAlgebra):
+        p = self.p = algebra.dim
+        scale = lcm(*(c.denominator for v in algebra.table.values() for c in v))
+        # [e_j, e_k] of the scaled basis, as (l, integer coefficient) pairs
+        self.brackets = [
+            [
+                [(l, int(c * scale))
+                 for l, c in enumerate(algebra.bracket_basis(j, k)) if c]
+                for k in range(p)
+            ]
+            for j in range(p)
+        ]
+        self._ranks: dict[tuple[int, ...], int] = {}
+
+    def cost(self, mu: tuple[int, ...]) -> int:
+        """Generic evaluation points of content mu: the xi-monomials,
+        prod_i C(p + mu_i - 1, mu_i); p^n at mu = 1^n."""
+        out = 1
+        for part in mu:
+            out *= comb(self.p + part - 1, part)
+        return out
+
+    def rank(self, mu: tuple[int, ...]) -> int:
+        """h(mu) for a partition mu (sorted, no zeros)."""
+        h = self._ranks.get(mu)
+        if h is None:
+            h = self._ranks[mu] = self._rank(mu)
+        return h
+
+    def _rank(self, mu: tuple[int, ...]) -> int:
+        rows = self._values(mu)
+        nrows = len(rows)
+        columns: dict[int, list[int]] = {}
+        for i, row in enumerate(rows):
+            for key, c in row.items():
+                col = columns.get(key)
+                if col is None:
+                    col = columns[key] = [0] * nrows
+                col[i] = c
+        del rows  # the columns hold every entry; free the row dicts
+        space = _ColumnSpace()
+        seen: set = set()
+        for col in columns.values():
+            col = tuple(col)
+            if col in seen:
+                continue
+            seen.add(col)
+            space.insert(col)
+            if space.rank == nrows:
+                break
+        return space.rank
+
+    def _values(self, mu: tuple[int, ...]) -> list[dict[int, int]]:
+        """Nonzero values of the distinct content-mu words ending in the
+        last variable, built outward from that letter: a depth-first walk
+        over suffixes, so each suffix is evaluated once and only the
+        current path is held; a zero suffix prunes every word that ends
+        in it."""
+        p, m, n = self.p, len(mu), sum(mu)
+        base = n + 1
+        # shift[v][j]: key offset of multiplying by xi_vj
+        shift = [[base ** (v * p + j) * p for j in range(p)] for v in range(m)]
+        # [x_v, e_k] as (key offset, coefficient) pairs
+        terms = [
+            [
+                [(shift[v][j] + l, c) for j in range(p) for l, c in self.brackets[j][k]]
+                for k in range(p)
+            ]
+            for v in range(m)
+        ]
+        remaining = list(mu)
+        remaining[-1] -= 1
+        rows: list[dict[int, int]] = []
+
+        def extend(value: dict[int, int], left: int):
+            if not left:
+                rows.append(value)
+                return
+            for v in range(m):
+                if not remaining[v]:
+                    continue
+                out: dict[int, int] = {}
+                bracket = terms[v]
+                for key, c in value.items():
+                    k = key % p
+                    stem = key - k
+                    for offset, s in bracket[k]:
+                        kk = stem + offset
+                        out[kk] = out.get(kk, 0) + c * s
+                out = {kk: c for kk, c in out.items() if c}
+                if out:
+                    remaining[v] -= 1
+                    extend(out, left - 1)
+                    remaining[v] += 1
+
+        extend({shift[m - 1][j] + j: 1 for j in range(p)}, n - 1)
+        return rows
 
 
 @dataclass(frozen=True)
@@ -179,6 +312,7 @@ class CodimEngine:
         self.algebra = algebra
         self.tuple_budget = tuple_budget
         self.evaluator = Evaluator(algebra)
+        self._content_ranks = _ContentRanks(algebra)
         self._columns: dict[tuple[int, Mode], _ColumnSpace] = {}
 
     # -- column generation ------------------------------------------------
@@ -268,6 +402,42 @@ class CodimEngine:
         return all(x == 0 for x in self.pairing(coeffs, space))
 
     def cocharacter(self, n: int, mode: Mode = ExactMode()) -> CocharacterTable:
+        """m_lambda for every partition of n.  Exact mode reads them off
+        multihomogeneous ranks: m_lambda = sum over sigma in S_m of
+        sgn(sigma) * h(lambda + delta - sigma(delta)), m = height(lambda),
+        and m_lambda = 0 when m > dim L.  Sampled mode pairs Young
+        symmetrizer images with sampled columns; a rank over sampled
+        columns bounds each h(mu) from below, but an alternating sum of
+        such bounds bounds nothing, so the sampled path stays separate."""
+        if isinstance(mode, SampledMode):
+            return self._sampled_cocharacter(n, mode)
+        if not isinstance(mode, ExactMode):
+            raise MalformedInputError(f"unknown mode {mode!r}")
+        kernel = self._content_ranks
+        shapes = partitions(n)
+        sums = {
+            shape: _alternating_contents(shape.parts)
+            for shape in shapes
+            if shape.height <= kernel.p  # alternating > dim L basis slots repeats
+        }
+        contents = {mu for terms in sums.values() for _, mu in terms}
+        required = sum(kernel.cost(mu) for mu in contents)
+        if required > self.tuple_budget:
+            raise BudgetExceededError(
+                f"exact cocharacter needs {required} generic evaluation "
+                f"points, budget is {self.tuple_budget}",
+                required=required,
+            )
+        return CocharacterTable(n, tuple(
+            CocharacterRow(
+                shape,
+                sum(sign * kernel.rank(mu) for sign, mu in sums.get(shape, ())),
+                hook_dim(shape),
+            )
+            for shape in shapes
+        ))
+
+    def _sampled_cocharacter(self, n: int, mode: SampledMode) -> CocharacterTable:
         space = self.columns(n, mode)
         words = basis_Pn(n)
         rows = []
@@ -300,6 +470,30 @@ class CodimEngine:
             self._require_budget(n)
         _, _, hit = _AlternatedChecker(self).scan(n, t, 1, mode)
         return hit is None
+
+
+def _alternating_contents(parts: tuple[int, ...]) -> list[tuple[int, tuple[int, ...]]]:
+    """(sgn sigma, mu) with mu = lambda + delta - sigma(delta) sorted and
+    without zeros, over the sigma in S_m that leave no part negative.
+
+    sigma is built one image at a time, so a negative part prunes every
+    completion; taking the pos-th smallest unused image adds pos
+    inversions."""
+    m = len(parts)
+    out = []
+
+    def place(i: int, unused: list[int], sign: int, mu: list[int]):
+        if i == m:
+            out.append((sign, tuple(sorted((x for x in mu if x), reverse=True))))
+            return
+        for pos, s in enumerate(unused):
+            part = parts[i] + s - i  # delta_i - delta_s = s - i
+            if part >= 0:
+                place(i + 1, unused[:pos] + unused[pos + 1:],
+                      -sign if pos % 2 else sign, mu + [part])
+
+    place(0, list(range(m)), 1, [])
+    return out
 
 
 def _set_assignments(n: int, r: int, k: int):

@@ -4,8 +4,10 @@ Everything here is deliberately independent of the library internals it
 checks: direct tree evaluation, brute-force tableau counting, an
 exhaustive bracketing enumeration for the exponent candidate, the
 symbolic Capelli check that the alternated-identity scan replaced, the
-listed sample that its index sampling replaced, and the random centroid
-element that the joint-eigenspace split replaced.
+listed sample that its index sampling replaced, the random centroid
+element that the joint-eigenspace split replaced, and the Young
+symmetrizer loop and Fraction elimination that multihomogeneous ranks
+replaced in exact cocharacters.
 """
 
 from __future__ import annotations
@@ -27,7 +29,13 @@ from picodim.liealg import (
     killing_form,
 )
 from picodim.linalg import Subspace, invert, mat_mul, rank_exact, zero_vec
-from picodim.symgroup import Partition
+from picodim.symgroup import (
+    Partition,
+    YoungTableau,
+    act,
+    partitions,
+    symmetrizer,
+)
 
 
 def random_fraction(rng: random.Random, span: int = 5) -> Fraction:
@@ -255,3 +263,68 @@ def randomized_simple_decomposition(algebra: LieAlgebra, seed: int):
         components.sort(key=lambda s: (-s.dim, s.basis))
         return components
     raise NotSplitError("no centroid element of full degree")
+
+
+class _FractionColumns:
+    """Incremental echelon over Fraction columns, with a pivot scaled to
+    a leading 1; keeps one original column per pivot."""
+
+    def __init__(self):
+        self.pivots = []
+        self.kept = []
+
+    def insert(self, col) -> None:
+        w = list(col)
+        for lead, reduced in self.pivots:
+            if w[lead] != 0:
+                f = w[lead]
+                w = [x - f * y for x, y in zip(w, reduced)]
+        for lead, x in enumerate(w):
+            if x != 0:
+                inv = Fraction(1) / x
+                self.pivots.append((lead, tuple(inv * y for y in w)))
+                self.kept.append(col)
+                return
+
+
+def symmetrizer_cocharacter(engine: CodimEngine, n: int) -> dict:
+    """Oracle for exact `CodimEngine.cocharacter`: {shape parts: m_lambda}.
+
+    Keeps a maximal independent set of the (basis tuple, coordinate)
+    columns of P_n over every basis tuple, then takes m_lambda as the
+    rank of e_T * P_n paired with those columns, for the Young
+    symmetrizer e_T of the row-reading tableau of each shape of height
+    at most dim L."""
+    algebra = engine.algebra
+    words = basis_Pn(n)
+    space, seen = _FractionColumns(), set()
+    for tup in itertools.product(range(algebra.dim), repeat=n):
+        values = [
+            engine.evaluator.word_value(tuple(tup[l - 1] for l in w)) for w in words
+        ]
+        for coord in range(algebra.dim):
+            col = tuple(v[coord] for v in values)
+            if col not in seen:
+                seen.add(col)
+                space.insert(col)
+        if len(space.kept) == len(words):
+            break
+    rank = len(space.kept)
+    out = {}
+    for shape in partitions(n):
+        if shape.height > algebra.dim or rank == 0:
+            out[shape.parts] = 0
+            continue
+        e = symmetrizer(YoungTableau.row_reading(shape))
+        image = _FractionColumns()
+        for w in words:
+            g = act(e, MultilinearPolynomial(n, {w: Fraction(1)}))
+            coeffs = g.coefficient_vector(words)
+            image.insert(tuple(
+                sum((c * x for c, x in zip(coeffs, col) if c != 0), Fraction(0))
+                for col in space.kept
+            ))
+            if len(image.kept) == min(rank, len(words)):
+                break
+        out[shape.parts] = len(image.kept)
+    return out

@@ -1,7 +1,8 @@
+import hashlib
 import io
 import json
 
-from picodim import catalog_algebra, to_json_dict
+from picodim import __version__, catalog_algebra, to_json_dict
 from picodim.cli import load_algebra, run
 
 from helpers import sl2_over_sqrt2
@@ -139,6 +140,8 @@ def test_non_split_component_exit_code(tmp_path):
 def test_budget_exceeded_exit_code():
     for argv in (
         ("codim", "sl2", "--n", "5", "--budget", "10"),
+        # 324 generic evaluation points
+        ("cocharacter", "sl2", "--n", "5", "--budget", "10"),
         # more alternations than random.sample can index
         ("capelli", "sl2", "--t", "2", "--n", "40", "--mode", "sampled",
          "--samples", "10"),
@@ -234,3 +237,32 @@ def test_removed_options_are_usage_errors():
     for argv in (("--mode", "modular"), ("--prime-bits", "31"), ("--jobs", "2")):
         code, _ = invoke("codim", "sl2", "--n", "3", "--no-cache", *argv)
         assert code == 2
+
+
+def test_cache_entry_of_another_algorithm_misses(tmp_path):
+    # a key without the library version and algorithm id, as written
+    # before either entered the key, holding a wrong answer
+    cache = tmp_path / "cache.jsonl"
+    stale_key = hashlib.sha256(json.dumps(
+        {"algebra": to_json_dict(catalog_algebra("sl2")), "op": "cocharacter",
+         "params": {"n": 3}, "v": 1},
+        sort_keys=True,
+    ).encode()).hexdigest()
+    stale = {"n": 3, "rows": [], "colength": 99, "codimension": 99}
+    cache.write_text(json.dumps({"v": 1, "key": stale_key, "result": stale}) + "\n")
+    code, payload = invoke_json("cocharacter", "sl2", "--n", "3", "--cache", str(cache))
+    assert code == 0 and "cache" not in payload
+    assert payload["codimension"] == 2
+    assert payload["provenance"]["version"] == __version__
+    assert payload["provenance"]["algorithm"] == "multihomogeneous-ranks"
+    code, payload = invoke_json("cocharacter", "sl2", "--n", "3", "--cache", str(cache))
+    assert code == 0 and payload["cache"] == "hit"
+    assert payload["codimension"] == 2
+
+
+def test_sampled_provenance_names_no_exact_algorithm():
+    code, payload = invoke_json("codim", "sl2", "--n", "3", "--mode", "sampled",
+                                "--no-cache")
+    assert code == 0
+    assert payload["provenance"]["version"] == __version__
+    assert "algorithm" not in payload["provenance"]

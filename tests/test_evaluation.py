@@ -1,4 +1,6 @@
+import itertools
 import random
+from fractions import Fraction
 from math import factorial
 
 import pytest
@@ -11,12 +13,20 @@ from picodim import (
     change_basis,
     evaluate,
 )
+from picodim import evaluation, symgroup
 from picodim.errors import BudgetExceededError, MalformedInputError
-from picodim.evaluation import _AlternatedChecker
-from picodim.freelie import MultilinearPolynomial, rewrite, rewrite_word
-from picodim.linalg import is_zero_vec, unit_vec
+from picodim.evaluation import _AlternatedChecker, _alternating_contents, _ColumnSpace
+from picodim.freelie import MultilinearPolynomial, perm_sign, rewrite, rewrite_word
+from picodim.linalg import is_zero_vec, rank_exact, unit_vec
+from picodim.symgroup import partitions
 
-from helpers import listed_sample_scan, random_invertible, symbolic_capelli_holds
+from helpers import (
+    listed_sample_scan,
+    random_fraction,
+    random_invertible,
+    symbolic_capelli_holds,
+    symmetrizer_cocharacter,
+)
 
 
 def test_evaluate_abelian_kills_higher_degrees():
@@ -176,6 +186,98 @@ def test_e4_cross_check_small(engine_for):
             table = engine.cocharacter(n)
             assert table.codimension_sum == engine.codimension(n)
             assert table.colength == sum(r.multiplicity for r in table.rows)
+
+
+def test_cocharacter_matches_symmetrizer_oracle(engine_for):
+    # every catalog algebra for n <= 5, and two random base changes of
+    # each (dense structure constants with denominators) for n <= 4
+    rng = random.Random(6)
+    for name in CATALOG_NAMES:
+        algebra = catalog_algebra(name)
+        cases = [(engine_for(name), 5)] + [
+            (CodimEngine(change_basis(algebra, random_invertible(rng, algebra.dim))), 4)
+            for _ in range(2)
+        ]
+        for engine, top in cases:
+            for n in range(1, top + 1):
+                table = engine.cocharacter(n)
+                got = {r.shape.parts: r.multiplicity for r in table.rows}
+                assert got == symmetrizer_cocharacter(engine, n), (name, n)
+
+
+def test_cocharacter_pins_beyond_the_multilinear_wall():
+    # the multilinear engine's c_7(sl2) = 90 and c_6(sl2_natural) = 106;
+    # both fit the default budget (sl2_natural n=6 needs 30240 points)
+    assert CodimEngine(catalog_algebra("sl2")).cocharacter(7).codimension_sum == 90
+    table = CodimEngine(catalog_algebra("sl2_natural")).cocharacter(6)
+    assert (table.codimension_sum, table.colength) == (106, 10)
+
+
+def test_exact_cocharacter_builds_no_symmetrizer_and_no_columns(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("exact cocharacter took the multilinear path")
+
+    for module in (evaluation, symgroup):
+        monkeypatch.setattr(module, "act", forbidden)
+        monkeypatch.setattr(module, "symmetrizer", forbidden)
+    monkeypatch.setattr(CodimEngine, "columns", forbidden)
+    table = CodimEngine(catalog_algebra("sl2")).cocharacter(5)
+    assert table.codimension_sum == 14
+
+
+def test_cocharacter_budget_counts_generic_evaluation_points():
+    engine = CodimEngine(catalog_algebra("sl2"), tuple_budget=10)
+    with pytest.raises(BudgetExceededError) as err:
+        engine.cocharacter(5)
+    assert err.value.required == 324
+    # the count is the sum over contents mu of prod C(p + mu_i - 1, mu_i)
+    table = CodimEngine(catalog_algebra("sl2"), tuple_budget=324).cocharacter(5)
+    assert table.codimension_sum == 14
+
+
+def test_alternating_contents_match_the_permutation_sum():
+    for n in range(1, 8):
+        for shape in partitions(n):
+            m = shape.height
+            expected = []
+            for sigma in itertools.permutations(range(m)):
+                mu = [shape.parts[i] + sigma[i] - i for i in range(m)]
+                if min(mu) >= 0:
+                    expected.append((
+                        perm_sign(tuple(s + 1 for s in sigma)),
+                        tuple(sorted((x for x in mu if x), reverse=True)),
+                    ))
+            assert sorted(_alternating_contents(shape.parts)) == sorted(expected)
+
+
+def test_column_space_rank_matches_rank_exact():
+    rng = random.Random(17)
+    for _ in range(200):
+        length, rank = rng.randint(1, 6), rng.randint(0, 4)
+        generators = [
+            tuple(random_fraction(rng) for _ in range(length)) for _ in range(rank)
+        ]
+        columns = []
+        for _ in range(rng.randint(1, 9)):
+            kind = rng.random()
+            if kind < 0.15 or not generators:
+                col = tuple(Fraction(0) for _ in range(length))  # zero column
+            elif kind < 0.3 and columns:
+                col = rng.choice(columns)  # duplicate column
+            else:
+                weights = [random_fraction(rng) for _ in generators]
+                col = tuple(
+                    sum((w * g[i] for w, g in zip(weights, generators)), Fraction(0))
+                    for i in range(length)
+                )
+            columns.append(col)
+        space = _ColumnSpace()
+        for col in columns:
+            space.insert(col)
+        assert space.rank == rank_exact(tuple(columns))
+        # kept holds original columns, and they are independent
+        assert all(any(k is c for c in columns) for k in space.kept)
+        assert rank_exact(tuple(space.kept)) == space.rank
 
 
 def test_capelli_abelian():

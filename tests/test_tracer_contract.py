@@ -21,7 +21,8 @@ tracer.install(t)
 for argv in (["codim", "sl2", "--n", "3", "--no-cache"],
              ["growth", "sl2", "--max-n", "3", "--mode", "sampled",
               "--samples", "20", "--no-cache"],
-             ["capelli", "sl2", "--t", "3", "--n", "4", "--no-cache"]):
+             ["capelli", "sl2", "--t", "3", "--n", "4", "--no-cache"],
+             ["cocharacter", "sl2", "--n", "3", "--no-cache"]):
     assert cli.run(argv, stdout=io.StringIO()) == 0, argv
 print(json.dumps(sorted(t.report()["spans"])))
 """
@@ -42,6 +43,7 @@ def test_tracer_installs_and_traces_every_layer():
         "evaluation.columns",
         "evaluation.insert",
         "evaluation.capelli",
+        "evaluation.cocharacter",
         "exponent.alt_check",
         "exponent.growth",
         "exponent.candidate",
