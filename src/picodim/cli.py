@@ -51,7 +51,7 @@ SCHEMA_VERSION = 1
 # provenance and cache keys carry it with the library version, so a
 # changed algorithm never replays a result its predecessor computed.
 ALGORITHMS = {
-    "codim": "multilinear-column-rank",
+    "codim": "multihomogeneous-ranks",
     "cocharacter": "multihomogeneous-ranks",
 }
 
@@ -249,9 +249,9 @@ def _global_options() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int,
                         help="random seed of sampled mode")
     common.add_argument("--budget", type=int,
-                        help="max basis tuples for exhaustive evaluation; for "
-                        "exact cocharacter, max generic evaluation points "
-                        "(xi-monomials, summed over the contents mu)")
+                        help="max generic evaluation points of exact "
+                        "evaluation (xi-monomials, summed over the contents "
+                        "mu; dim(L)^n basis tuples at mu = 1^n)")
     common.add_argument("--samples", type=int,
                         help="sample count for sampled mode")
     common.add_argument("--format", choices=["json", "csv", "text"])

@@ -2,32 +2,32 @@
 decision, codimensions c_n, cocharacter multiplicities m_lambda,
 colengths l_n, and alternated-identity checks.
 
-The workhorse of c_n is the evaluation matrix: rows are canonical basis
-words of P_n, columns are (basis tuple, coordinate) pairs.  Exhausting
-all dim(L)^n basis tuples is sound and complete by multilinearity, so
-the row space dimension is exactly c_n(L).  Columns are deduplicated and
-a maximal independent set is kept; a polynomial is an identity iff its
-coefficient vector pairs to zero with every kept column.
-
-Exact m_lambda come from multihomogeneous ranks instead: S_n-cocharacters
-are GL_m-characters of the relatively free algebra F_m(L) (Berele 1982,
-Drensky 1984), so m_lambda is an alternating sum of the dimensions h(mu)
-of its content-mu parts, each the rank of a small integer matrix of
-right-normed words evaluated at generic elements (`_ContentRanks`).
-Every rank, of either matrix, comes from `_ColumnSpace`, which
-eliminates fraction-free over the integers.
+Exact answers come from one kernel, multihomogeneous ranks
+(`_ContentRanks`): S_n-cocharacters are GL_m-characters of the
+relatively free algebra F_m(L) (Berele 1982, Drensky 1984), so m_lambda
+is an alternating sum of the dimensions h(mu) of its content-mu parts,
+each the rank of a small integer matrix of right-normed words evaluated
+at generic elements, and c_n = sum m_lambda d_lambda.  The content-1^n
+matrix is the multilinear one: its rows are the canonical basis words
+of P_n and its columns are (basis tuple, coordinate) pairs, so a
+polynomial is an identity iff its coefficient vector pairs to zero with
+every kept column.  Every rank comes from `_ColumnSpace`, which
+eliminates fraction-free over the integers.  Exact work is budgeted in
+generic evaluation points, sum over the contents mu of
+prod_i C(dim L + mu_i - 1, mu_i), which is dim(L)^n at mu = 1^n.
 
 Three methods choose between exact and sampled mode:
-`CodimEngine.columns` (all basis tuples, or `count` random ones; both
-stop early only at full rank (n-1)!), which `is_identity` pairs against
-in either mode, `CodimEngine.cocharacter` (multihomogeneous ranks, or
-Young symmetrizer images paired with sampled columns) and
-`_AlternatedChecker.scan` (every alternation, or a random sample of
-them).  Alternations of basis words are never built symbolically: the
-scan evaluates them on strictly increasing basis assignments of each
-alternating set, for `capelli_holds`, `exponent.verify_upper` and
-`exponent.find_lower_witness`.  Exact verdicts are proofs; sampled mode
-only refutes, so its c_n and m_lambda are lower bounds.
+`CodimEngine.columns` (the content-1^n columns, or those of `count`
+random basis tuples, stopping early at full rank (n-1)!), which
+`is_identity` pairs against in either mode, `CodimEngine.cocharacter`
+(multihomogeneous ranks, or Young symmetrizer images paired with
+sampled columns) and `_AlternatedChecker.scan` (every alternation, or a
+random sample of them).  Alternations of basis words are never built
+symbolically: the scan evaluates them on strictly increasing basis
+assignments of each alternating set, for `capelli_holds`,
+`exponent.verify_upper` and `exponent.find_lower_witness`.  Exact
+verdicts are proofs; sampled mode only refutes, so its c_n and m_lambda
+are lower bounds.
 """
 
 from __future__ import annotations
@@ -53,7 +53,15 @@ from .freelie import (
 )
 from .liealg import LieAlgebra
 from .linalg import Vector, is_zero_vec, vec_add, vec_scale, zero_vec
-from .symgroup import Partition, YoungTableau, act, hook_dim, partitions, symmetrizer
+from .symgroup import (
+    Partition,
+    YoungTableau,
+    act,
+    hook_dim,
+    iter_partitions,
+    partitions,
+    symmetrizer,
+)
 
 DEFAULT_TUPLE_BUDGET = 500_000
 
@@ -210,20 +218,27 @@ class _ContentRanks:
         """h(mu) for a partition mu (sorted, no zeros)."""
         h = self._ranks.get(mu)
         if h is None:
-            h = self._ranks[mu] = self._rank(mu)
+            h = self._ranks[mu] = self.space(mu).rank
         return h
 
-    def _rank(self, mu: tuple[int, ...]) -> int:
-        rows = self._values(mu)
-        nrows = len(rows)
+    def space(self, mu: tuple[int, ...], words: list[Word] | None = None) -> _ColumnSpace:
+        """Column space of the content-mu words, with a row for each of
+        `words` (default: the nonzero words); it stops once the rank
+        reaches the number of nonzero words."""
+        values = self._values(mu)
+        if words is None:
+            words = list(values)
+        index = {w: i for i, w in enumerate(words)}
         columns: dict[int, list[int]] = {}
-        for i, row in enumerate(rows):
+        for w, row in values.items():
+            i = index[w]
             for key, c in row.items():
                 col = columns.get(key)
                 if col is None:
-                    col = columns[key] = [0] * nrows
+                    col = columns[key] = [0] * len(words)
                 col[i] = c
-        del rows  # the columns hold every entry; free the row dicts
+        nonzero = len(values)
+        del values  # the columns hold every entry; free the row dicts
         space = _ColumnSpace()
         seen: set = set()
         for col in columns.values():
@@ -232,16 +247,16 @@ class _ContentRanks:
                 continue
             seen.add(col)
             space.insert(col)
-            if space.rank == nrows:
+            if space.rank == nonzero:
                 break
-        return space.rank
+        return space
 
-    def _values(self, mu: tuple[int, ...]) -> list[dict[int, int]]:
+    def _values(self, mu: tuple[int, ...]) -> dict[Word, dict[int, int]]:
         """Nonzero values of the distinct content-mu words ending in the
-        last variable, built outward from that letter: a depth-first walk
-        over suffixes, so each suffix is evaluated once and only the
-        current path is held; a zero suffix prunes every word that ends
-        in it."""
+        last variable, keyed by word (1-based letters), built outward
+        from that letter: a depth-first walk over suffixes, so each
+        suffix is evaluated once and only the current path is held; a
+        zero suffix prunes every word that ends in it."""
         p, m, n = self.p, len(mu), sum(mu)
         base = n + 1
         # shift[v][j]: key offset of multiplying by xi_vj
@@ -256,11 +271,11 @@ class _ContentRanks:
         ]
         remaining = list(mu)
         remaining[-1] -= 1
-        rows: list[dict[int, int]] = []
+        rows: dict[Word, dict[int, int]] = {}
 
-        def extend(value: dict[int, int], left: int):
+        def extend(value: dict[int, int], word: Word, left: int):
             if not left:
-                rows.append(value)
+                rows[word] = value
                 return
             for v in range(m):
                 if not remaining[v]:
@@ -276,10 +291,10 @@ class _ContentRanks:
                 out = {kk: c for kk, c in out.items() if c}
                 if out:
                     remaining[v] -= 1
-                    extend(out, left - 1)
+                    extend(out, (v + 1,) + word, left - 1)
                     remaining[v] += 1
 
-        extend({shift[m - 1][j] + j: 1 for j in range(p)}, n - 1)
+        extend({shift[m - 1][j] + j: 1 for j in range(p)}, (m,), n - 1)
         return rows
 
 
@@ -325,15 +340,17 @@ class CodimEngine:
         for coord in range(p):
             yield tuple(v[coord] for v in values)
 
-    def _require_budget(self, n: int):
-        total = self.algebra.dim**n
-        if total > self.tuple_budget:
+    def _require_budget(self, contents: Iterable[tuple[int, ...]]) -> None:
+        """Raise unless the generic evaluation points of the contents,
+        sum of cost(mu), fit the budget; at mu = 1^n they are the dim(L)^n
+        basis tuples."""
+        required = sum(self._content_ranks.cost(mu) for mu in contents)
+        if required > self.tuple_budget:
             raise BudgetExceededError(
-                f"exhaustive evaluation needs {total} basis tuples, "
-                f"budget is {self.tuple_budget}",
-                required=total,
+                f"exact evaluation needs {required} generic evaluation "
+                f"points, budget is {self.tuple_budget}",
+                required=required,
             )
-        return total
 
     def columns(self, n: int, mode: Mode = ExactMode()) -> _ColumnSpace:
         """Maximal independent column set of degree n, cached per (n, mode).
@@ -352,26 +369,22 @@ class CodimEngine:
         return space
 
     def exhaustive_columns(self, n: int) -> _ColumnSpace:
-        """Columns of every basis tuple, until the rank reaches (n-1)!."""
-        self._require_budget(n)
-        tuples = itertools.product(range(self.algebra.dim), repeat=n)
-        return self._select(n, tuples)
+        """The content-1^n columns, one for each (basis tuple, coordinate),
+        with rows in `basis_Pn(n)` order."""
+        mu = (1,) * n
+        self._require_budget([mu])
+        return self._content_ranks.space(mu, basis_Pn(n))
 
     def sampled_columns(self, n: int, mode: SampledMode) -> _ColumnSpace:
         """Columns of `mode.count` random basis tuples, until the rank
         reaches (n-1)!."""
         rng = random.Random(mode.seed)
         p = self.algebra.dim
-        tuples = (
-            tuple(rng.randrange(p) for _ in range(n)) for _ in range(mode.count)
-        )
-        return self._select(n, tuples)
-
-    def _select(self, n: int, tuples: Iterable[tuple[int, ...]]) -> _ColumnSpace:
         words = basis_Pn(n)
         space = _ColumnSpace()
         seen: set = set()
-        for tup in tuples:
+        for _ in range(mode.count):
+            tup = tuple(rng.randrange(p) for _ in range(n))
             for col in self._tuple_columns(words, tup):
                 if col in seen:
                     continue
@@ -384,6 +397,10 @@ class CodimEngine:
     # -- public operations ------------------------------------------------
 
     def codimension(self, n: int, mode: Mode = ExactMode()) -> int:
+        """c_n: exact mode reads it off the cocharacter, sum m_lambda
+        d_lambda; sampled mode takes the rank of sampled columns."""
+        if isinstance(mode, ExactMode):
+            return self.cocharacter(n).codimension_sum
         return self.columns(n, mode).rank
 
     def pairing(self, coeffs: tuple[Fraction, ...], space: _ColumnSpace):
@@ -414,28 +431,20 @@ class CodimEngine:
         if not isinstance(mode, ExactMode):
             raise MalformedInputError(f"unknown mode {mode!r}")
         kernel = self._content_ranks
-        shapes = partitions(n)
-        sums = {
-            shape: _alternating_contents(shape.parts)
-            for shape in shapes
-            if shape.height <= kernel.p  # alternating > dim L basis slots repeats
-        }
-        contents = {mu for terms in sums.values() for _, mu in terms}
-        required = sum(kernel.cost(mu) for mu in contents)
-        if required > self.tuple_budget:
-            raise BudgetExceededError(
-                f"exact cocharacter needs {required} generic evaluation "
-                f"points, budget is {self.tuple_budget}",
-                required=required,
-            )
-        return CocharacterTable(n, tuple(
-            CocharacterRow(
-                shape,
-                sum(sign * kernel.rank(mu) for sign, mu in sums.get(shape, ())),
-                hook_dim(shape),
-            )
-            for shape in shapes
-        ))
+        # the contents of the shapes of height <= dim L (lambda itself
+        # among them) are the partitions of n into at most dim L parts;
+        # each costs at least 1, so budget + 1 of them decide the check
+        self._require_budget(
+            itertools.islice(iter_partitions(n, kernel.p), self.tuple_budget + 1)
+        )
+        rows = []
+        for shape in partitions(n):
+            m = 0
+            if shape.height <= kernel.p:  # else alternating repeats a basis slot
+                m = sum(sign * kernel.rank(mu)
+                        for sign, mu in _alternating_contents(shape.parts))
+            rows.append(CocharacterRow(shape, m, hook_dim(shape)))
+        return CocharacterTable(n, tuple(rows))
 
     def _sampled_cocharacter(self, n: int, mode: SampledMode) -> CocharacterTable:
         space = self.columns(n, mode)
@@ -467,7 +476,7 @@ class CodimEngine:
         if not 1 <= t <= n:
             raise MalformedInputError("need 1 <= t <= n")
         if isinstance(mode, ExactMode):
-            self._require_budget(n)
+            self._require_budget([(1,) * n])
         _, _, hit = _AlternatedChecker(self).scan(n, t, 1, mode)
         return hit is None
 

@@ -7,7 +7,6 @@ two generating sets of the same subspace produce identical bases.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -83,92 +82,6 @@ def rref(rows: Sequence[Vector]) -> tuple[Vector, ...]:
 
 def rank_exact(m: Matrix) -> int:
     return len(rref(m))
-
-
-def _rank_mod(m: Matrix, p: int) -> int | None:
-    """Rank of m over GF(p), or None if p divides a denominator."""
-    work = []
-    for row in m:
-        r = []
-        for x in row:
-            if x.denominator % p == 0:
-                return None
-            r.append(x.numerator * pow(x.denominator, -1, p) % p)
-        work.append(r)
-    if not work:
-        return 0
-    ncols = len(work[0])
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(rank, len(work)):
-            if work[r][col]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        inv = pow(work[rank][col], -1, p)
-        work[rank] = [inv * x % p for x in work[rank]]
-        for r in range(rank + 1, len(work)):
-            if work[r][col]:
-                f = work[r][col]
-                work[r] = [(x - f * y) % p for x, y in zip(work[r], work[rank])]
-        rank += 1
-        if rank == len(work):
-            break
-    return rank
-
-
-def _random_prime(rng: random.Random, bits: int = 31) -> int:
-    while True:
-        candidate = rng.randrange(1 << bits, 1 << (bits + 1)) | 1
-        if _is_probable_prime(candidate):
-            return candidate
-
-
-def _is_probable_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def rank_modular(m: Matrix, trials: int = 3, seed: int = 0, bits: int = 31) -> int:
-    """Maximum rank observed over `trials` random primes above 2**bits.
-
-    Always a lower bound on the true rank; equals it unless every chosen
-    prime divides one fixed nonzero minor of the matrix.
-    """
-    if trials < 1:
-        raise MalformedInputError("trials must be >= 1")
-    rng = random.Random(seed)
-    best = 0
-    done = 0
-    while done < trials:
-        p = _random_prime(rng, bits)
-        r = _rank_mod(m, p)
-        if r is None:
-            continue  # prime hit a denominator; draw another
-        best = max(best, r)
-        done += 1
-    return best
 
 
 def rank(m: Matrix) -> int:

@@ -65,23 +65,27 @@ class Partition:
 
 def partitions(n: int, max_height: int | None = None) -> list[Partition]:
     """All partitions of n in reverse-lexicographic order."""
+    return [Partition(parts) for parts in iter_partitions(n, max_height)]
+
+
+def iter_partitions(n: int, max_height: int | None = None):
+    """The parts of `partitions(n, max_height)`, one tuple at a time."""
     if n < 1:
         raise MalformedInputError("n must be >= 1")
-    out: list[Partition] = []
 
     def descend(remaining: int, largest: int, prefix: list[int]):
         if remaining == 0:
-            out.append(Partition(tuple(prefix)))
+            yield tuple(prefix)
             return
-        if max_height is not None and len(prefix) == max_height:
-            return
+        slots = n if max_height is None else max_height - len(prefix)
         for part in range(min(largest, remaining), 0, -1):
+            if remaining > part * slots:
+                break  # the rest no longer fits in the slots left
             prefix.append(part)
-            descend(remaining - part, part, prefix)
+            yield from descend(remaining - part, part, prefix)
             prefix.pop()
 
-    descend(n, n, [])
-    return out
+    return descend(n, n, [])
 
 
 def hook_dim(shape: Partition) -> int:

@@ -5,9 +5,9 @@ checks: direct tree evaluation, brute-force tableau counting, an
 exhaustive bracketing enumeration for the exponent candidate, the
 symbolic Capelli check that the alternated-identity scan replaced, the
 listed sample that its index sampling replaced, the random centroid
-element that the joint-eigenspace split replaced, and the Young
-symmetrizer loop and Fraction elimination that multihomogeneous ranks
-replaced in exact cocharacters.
+element that the joint-eigenspace split replaced, and the multilinear
+tuple sweep, Young symmetrizer loop and Fraction elimination that
+multihomogeneous ranks replaced in exact codimensions and cocharacters.
 """
 
 from __future__ import annotations
@@ -287,14 +287,10 @@ class _FractionColumns:
                 return
 
 
-def symmetrizer_cocharacter(engine: CodimEngine, n: int) -> dict:
-    """Oracle for exact `CodimEngine.cocharacter`: {shape parts: m_lambda}.
-
-    Keeps a maximal independent set of the (basis tuple, coordinate)
-    columns of P_n over every basis tuple, then takes m_lambda as the
-    rank of e_T * P_n paired with those columns, for the Young
-    symmetrizer e_T of the row-reading tableau of each shape of height
-    at most dim L."""
+def multilinear_columns(engine: CodimEngine, n: int) -> _FractionColumns:
+    """Oracle for the exact column space of degree n: a maximal
+    independent set of the (basis tuple, coordinate) columns of P_n over
+    every basis tuple, rows in `basis_Pn(n)` order, so its rank is c_n."""
     algebra = engine.algebra
     words = basis_Pn(n)
     space, seen = _FractionColumns(), set()
@@ -309,10 +305,21 @@ def symmetrizer_cocharacter(engine: CodimEngine, n: int) -> dict:
                 space.insert(col)
         if len(space.kept) == len(words):
             break
+    return space
+
+
+def symmetrizer_cocharacter(engine: CodimEngine, n: int) -> dict:
+    """Oracle for exact `CodimEngine.cocharacter`: {shape parts: m_lambda}.
+
+    Takes m_lambda as the rank of e_T * P_n paired with the columns of
+    `multilinear_columns`, for the Young symmetrizer e_T of the
+    row-reading tableau of each shape of height at most dim L."""
+    words = basis_Pn(n)
+    space = multilinear_columns(engine, n)
     rank = len(space.kept)
     out = {}
     for shape in partitions(n):
-        if shape.height > algebra.dim or rank == 0:
+        if shape.height > engine.algebra.dim or rank == 0:
             out[shape.parts] = 0
             continue
         e = symmetrizer(YoungTableau.row_reading(shape))

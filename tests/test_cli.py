@@ -239,25 +239,39 @@ def test_removed_options_are_usage_errors():
         assert code == 2
 
 
-def test_cache_entry_of_another_algorithm_misses(tmp_path):
-    # a key without the library version and algorithm id, as written
-    # before either entered the key, holding a wrong answer
-    cache = tmp_path / "cache.jsonl"
-    stale_key = hashlib.sha256(json.dumps(
-        {"algebra": to_json_dict(catalog_algebra("sl2")), "op": "cocharacter",
-         "params": {"n": 3}, "v": 1},
+def _stale_key(operation: str, **fields) -> str:
+    return hashlib.sha256(json.dumps(
+        {"algebra": to_json_dict(catalog_algebra("sl2")), "op": operation,
+         "params": {"n": 3}, "v": 1, **fields},
         sort_keys=True,
     ).encode()).hexdigest()
-    stale = {"n": 3, "rows": [], "colength": 99, "codimension": 99}
-    cache.write_text(json.dumps({"v": 1, "key": stale_key, "result": stale}) + "\n")
-    code, payload = invoke_json("cocharacter", "sl2", "--n", "3", "--cache", str(cache))
-    assert code == 0 and "cache" not in payload
-    assert payload["codimension"] == 2
-    assert payload["provenance"]["version"] == __version__
-    assert payload["provenance"]["algorithm"] == "multihomogeneous-ranks"
-    code, payload = invoke_json("cocharacter", "sl2", "--n", "3", "--cache", str(cache))
-    assert code == 0 and payload["cache"] == "hit"
-    assert payload["codimension"] == 2
+
+
+def test_cache_entry_of_another_algorithm_misses(tmp_path):
+    # wrong answers under keys of earlier algorithms: a cocharacter key
+    # without the library version and algorithm id, as written before
+    # either entered the key, and a codim key of the multilinear column
+    # rank that exact codim used before multihomogeneous ranks
+    cache = tmp_path / "cache.jsonl"
+    stale = [
+        (_stale_key("cocharacter"),
+         {"n": 3, "rows": [], "colength": 99, "codimension": 99}),
+        (_stale_key("codim", algorithm="multilinear-column-rank", version=__version__),
+         {"n": 3, "codimension": 99, "certainty": "exact"}),
+    ]
+    cache.write_text("".join(
+        json.dumps({"v": 1, "key": key, "result": result}) + "\n"
+        for key, result in stale
+    ))
+    for command in ("cocharacter", "codim"):
+        code, payload = invoke_json(command, "sl2", "--n", "3", "--cache", str(cache))
+        assert code == 0 and "cache" not in payload
+        assert payload["codimension"] == 2
+        assert payload["provenance"]["version"] == __version__
+        assert payload["provenance"]["algorithm"] == "multihomogeneous-ranks"
+        code, payload = invoke_json(command, "sl2", "--n", "3", "--cache", str(cache))
+        assert code == 0 and payload["cache"] == "hit"
+        assert payload["codimension"] == 2
 
 
 def test_sampled_provenance_names_no_exact_algorithm():

@@ -8,7 +8,9 @@ import pytest
 from picodim import (
     CATALOG_NAMES,
     CodimEngine,
+    ExactMode,
     SampledMode,
+    Subspace,
     catalog_algebra,
     change_basis,
     evaluate,
@@ -16,12 +18,19 @@ from picodim import (
 from picodim import evaluation, symgroup
 from picodim.errors import BudgetExceededError, MalformedInputError
 from picodim.evaluation import _AlternatedChecker, _alternating_contents, _ColumnSpace
-from picodim.freelie import MultilinearPolynomial, perm_sign, rewrite, rewrite_word
-from picodim.linalg import is_zero_vec, rank_exact, unit_vec
+from picodim.freelie import (
+    MultilinearPolynomial,
+    basis_Pn,
+    perm_sign,
+    rewrite,
+    rewrite_word,
+)
+from picodim.linalg import is_zero_vec, kernel, rank_exact, unit_vec
 from picodim.symgroup import partitions
 
 from helpers import (
     listed_sample_scan,
+    multilinear_columns,
     random_fraction,
     random_invertible,
     symbolic_capelli_holds,
@@ -135,10 +144,13 @@ def test_unknown_mode_is_rejected(engine_for):
 
 
 def test_codimension_budget_exceeded():
+    # exact c_n is the cocharacter's sum, so the budget counts the
+    # generic evaluation points of its contents, the partitions of 4
+    # into at most 3 parts
     engine = CodimEngine(catalog_algebra("sl2"), tuple_budget=10)
     with pytest.raises(BudgetExceededError) as err:
         engine.codimension(4)
-    assert err.value.required == 81
+    assert err.value.required == 135
 
 
 def test_codimension_invariant_under_base_change():
@@ -149,6 +161,108 @@ def test_codimension_invariant_under_base_change():
         moved = CodimEngine(change_basis(algebra, random_invertible(rng, algebra.dim)))
         for n in range(1, 5):
             assert moved.codimension(n) == reference.codimension(n)
+
+
+def test_codimension_matches_multilinear_oracle(engine_for):
+    # every catalog algebra for n <= 5, and two random base changes of
+    # each (dense structure constants with denominators) for n <= 4
+    rng = random.Random(7)
+    for name in CATALOG_NAMES:
+        algebra = catalog_algebra(name)
+        cases = [(engine_for(name), 5)] + [
+            (CodimEngine(change_basis(algebra, random_invertible(rng, algebra.dim))), 4)
+            for _ in range(2)
+        ]
+        for engine, top in cases:
+            for n in range(1, top + 1):
+                expected = len(multilinear_columns(engine, n).kept)
+                assert engine.codimension(n) == expected, (name, n)
+
+
+def test_exact_is_identity_matches_multilinear_oracle():
+    # random identities (left kernel of the oracle's columns), some with
+    # a random polynomial added, decided by pairing with those columns
+    rng = random.Random(8)
+    # solvable2's identities are not closed under reversing the prefix
+    # of each basis word, so it also tells a wrong row order apart
+    for name in ("sl2", "gl2", "heisenberg3", "sl2_natural", "solvable2"):
+        engine = CodimEngine(catalog_algebra(name))
+        for n in range(2, 6):
+            words = basis_Pn(n)
+            kept = multilinear_columns(engine, n).kept
+            # the same column space, rows in basis_Pn order
+            assert Subspace.from_vectors(len(words), engine.columns(n).kept) == (
+                Subspace.from_vectors(len(words), kept)
+            ), (name, n)
+            identities = kernel(tuple(kept), len(words)).basis
+            for _ in range(6):
+                coeffs = [Fraction(0)] * len(words)
+                for v in identities:
+                    w = rng.randint(-3, 3)
+                    coeffs = [c + w * x for c, x in zip(coeffs, v)]
+                if rng.random() < 0.5:
+                    coeffs = [c + random_fraction(rng) for c in coeffs]
+                f = MultilinearPolynomial(n, dict(zip(words, coeffs)))
+                expected = all(
+                    sum(c * x for c, x in zip(coeffs, col)) == 0 for col in kept
+                )
+                assert engine.is_identity(f) == expected, (name, n)
+
+
+def test_exact_codimension_and_is_identity_skip_the_tuple_sweep(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("exact mode evaluated basis tuples")
+
+    monkeypatch.setattr(CodimEngine, "_tuple_columns", forbidden)
+    monkeypatch.setattr(evaluation.Evaluator, "word_value", forbidden)
+    engine = CodimEngine(catalog_algebra("sl2"))
+    assert [engine.codimension(n) for n in range(1, 6)] == [1, 1, 2, 6, 14]
+    assert not engine.is_identity(rewrite((1, 2)))
+    assert engine.columns(4).rank == 6
+    assert CodimEngine(catalog_algebra("heisenberg3")).is_identity(rewrite_word((1, 2, 3), 3))
+
+
+def test_cocharacter_checks_budget_before_listing_tall_shapes(monkeypatch):
+    heights = []
+
+    def recording(name):
+        original = getattr(evaluation, name)
+
+        def wrapper(n, max_height=None):
+            heights.append(max_height)
+            return original(n, max_height)
+
+        monkeypatch.setattr(evaluation, name, wrapper)
+
+    recording("partitions")
+    recording("iter_partitions")
+    engine = CodimEngine(catalog_algebra("sl2"))
+    for call in (engine.cocharacter, engine.codimension):
+        heights.clear()
+        with pytest.raises(BudgetExceededError) as err:
+            call(60)
+        assert heights == [3]
+        # every partition of 60 into at most 3 parts is a content
+        assert err.value.required == 1322253845
+
+
+def test_budget_bounds_the_listing_of_contents(monkeypatch):
+    # 19858 partitions of 60 into at most 6 parts; each content costs at
+    # least one point, so the check lists at most budget + 1 of them
+    listed = []
+    original = evaluation.iter_partitions
+
+    def counting(n, max_height=None):
+        for parts in original(n, max_height):
+            listed.append(parts)
+            yield parts
+
+    monkeypatch.setattr(evaluation, "iter_partitions", counting)
+    engine = CodimEngine(catalog_algebra("sl2_adjoint"), tuple_budget=1000)
+    with pytest.raises(BudgetExceededError) as err:
+        engine.codimension(60)
+    assert err.value.required > 1000
+    assert len(listed) <= 1001
 
 
 def test_cocharacter_degree_one(engine_for):
@@ -180,11 +294,13 @@ def test_cocharacter_sl2_degree_four(engine_for):
 
 
 def test_e4_cross_check_small(engine_for):
+    # exact codimension is the cocharacter's own sum, so the cross-check
+    # compares it with the rank of the multilinear (mu = 1^n) columns
     for name in ("sl2", "gl2", "heisenberg3"):
         engine = engine_for(name)
         for n in range(1, 5):
             table = engine.cocharacter(n)
-            assert table.codimension_sum == engine.codimension(n)
+            assert table.codimension_sum == engine.columns(n, ExactMode()).rank
             assert table.colength == sum(r.multiplicity for r in table.rows)
 
 

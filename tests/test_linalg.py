@@ -15,7 +15,6 @@ from picodim.linalg import (
     mat_vec,
     parse_fraction,
     rank_exact,
-    rank_modular,
     rref,
     transpose,
     unit_vec,
@@ -23,7 +22,6 @@ from picodim.linalg import (
     zero_vec,
 )
 
-from helpers import random_int_matrix
 
 
 def test_rank_identity():
@@ -59,26 +57,6 @@ small_matrices = st.lists(
 def test_rank_equals_rank_of_transpose(rows):
     m = tuple(vec(r) for r in rows)
     assert rank_exact(m) == rank_exact(transpose(m))
-
-
-def test_modular_rank_matches_exact_on_random_corpus():
-    rng = random.Random(20)
-    for trial in range(100):
-        m = random_int_matrix(rng, 20, 20, span=9)
-        exact = rank_exact(m)
-        modular = rank_modular(m, trials=3, seed=trial)
-        assert modular <= exact
-        assert modular == exact
-
-
-def test_modular_rank_handles_fractional_entries():
-    m = (vec([Fraction(1, 3), Fraction(2, 7)]), vec([Fraction(2, 3), Fraction(4, 7)]))
-    assert rank_modular(m, trials=3, seed=1) == 1 == rank_exact(m)
-
-
-def test_modular_rank_requires_positive_trials():
-    with pytest.raises(MalformedInputError):
-        rank_modular((vec([1]),), trials=0)
 
 
 def test_span_add_orthogonal_units():

@@ -35,6 +35,14 @@ def test_partitions_height_filter():
     assert [p.parts for p in partitions(4, max_height=2)] == [(4,), (3, 1), (2, 2)]
 
 
+def test_height_filter_keeps_the_order_of_all_partitions():
+    # the listing prunes parts too small for the slots left
+    for n in range(1, 13):
+        every = partitions(n)
+        for h in range(1, n + 1):
+            assert partitions(n, h) == [p for p in every if p.height <= h], (n, h)
+
+
 def test_partition_counts():
     assert len(partitions(8)) == 22
     assert len(partitions(1)) == 1
