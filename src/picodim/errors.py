@@ -1,5 +1,7 @@
 """Shared exception types with CLI exit codes attached."""
 
+from math import log10
+
 
 class MalformedInputError(ValueError):
     """Input data violates a shape or schema precondition."""
@@ -44,6 +46,20 @@ class BudgetExceededError(Exception):
     def __init__(self, message, required=None):
         self.required = required
         super().__init__(message)
+
+
+def count_text(count: int) -> str:
+    """A count for a message: in decimal below 10^30, else as "at least
+    10^e", so that str() never meets an int past Python's 4300-digit
+    conversion limit."""
+    if count < 10**30:
+        return str(count)
+    e = int((count.bit_length() - 1) * log10(2))
+    while 10 ** (e + 1) <= count:
+        e += 1
+    while 10**e > count:
+        e -= 1
+    return f"at least 10^{e}"
 
 
 class InternalInvariantError(AssertionError):

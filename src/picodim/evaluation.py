@@ -23,11 +23,12 @@ random basis tuples, stopping early at full rank (n-1)!), which
 (multihomogeneous ranks, or Young symmetrizer images paired with
 sampled columns) and `_AlternatedChecker.scan` (every alternation, or a
 random sample of them).  Alternations of basis words are never built
-symbolically: the scan evaluates them on strictly increasing basis
-assignments of each alternating set, for `capelli_holds`,
-`exponent.verify_upper` and `exponent.find_lower_witness`.  Exact
-verdicts are proofs; sampled mode only refutes, so its c_n and m_lambda
-are lower bounds.
+symbolically: for `capelli_holds`, `exponent.verify_upper` and
+`exponent.find_lower_witness` the scan evaluates them on strictly
+increasing basis assignments of each alternating set, summing every set
+permutation in one signed pass over the word with the kernel's integer
+brackets.  Exact verdicts are proofs; sampled mode only refutes, so its
+c_n and m_lambda are lower bounds.
 """
 
 from __future__ import annotations
@@ -40,16 +41,14 @@ from fractions import Fraction
 from math import comb, factorial, gcd, lcm
 from typing import Iterable
 
-from .errors import BudgetExceededError, MalformedInputError
+from .errors import BudgetExceededError, MalformedInputError, count_text
 from .freelie import (
-    AltSpec,
     MultilinearPolynomial,
     Word,
     basis_Pn,
     dim_Pn,
     iter_basis_Pn,
     nth_basis_word,
-    signed_set_permutations,
 )
 from .liealg import LieAlgebra
 from .linalg import Vector, is_zero_vec, vec_add, vec_scale, zero_vec
@@ -194,7 +193,9 @@ class _ContentRanks:
 
     def __init__(self, algebra: LieAlgebra):
         p = self.p = algebra.dim
-        scale = lcm(*(c.denominator for v in algebra.table.values() for c in v))
+        scale = self.scale = lcm(
+            *(c.denominator for v in algebra.table.values() for c in v)
+        )
         # [e_j, e_k] of the scaled basis, as (l, integer coefficient) pairs
         self.brackets = [
             [
@@ -347,8 +348,8 @@ class CodimEngine:
         required = sum(self._content_ranks.cost(mu) for mu in contents)
         if required > self.tuple_budget:
             raise BudgetExceededError(
-                f"exact evaluation needs {required} generic evaluation "
-                f"points, budget is {self.tuple_budget}",
+                f"exact evaluation needs {count_text(required)} generic "
+                f"evaluation points, budget is {count_text(self.tuple_budget)}",
                 required=required,
             )
 
@@ -533,6 +534,10 @@ class _AlternatedChecker:
     alternation vanishes whenever a set repeats a value and only changes
     sign when set values are permuted, so scanning strictly increasing
     basis assignments per set is equivalent to the full tuple sweep.
+    The sum over the set permutations at one assignment is taken by a
+    signed pass over the word (`find_nonzero`), in the integer brackets
+    of the scaled basis that `_ContentRanks` holds, so no word value is
+    cached.
     """
 
     def __init__(self, engine: CodimEngine):
@@ -540,32 +545,91 @@ class _AlternatedChecker:
         self.algebra = engine.algebra
 
     def find_nonzero(self, word: Word, sets: tuple[tuple[int, ...], ...]):
-        """A basis assignment where the alternated word is nonzero, or None."""
-        p = self.algebra.dim
-        r = len(sets[0])
-        n = len(word)
-        in_set = set(itertools.chain.from_iterable(sets))
-        free = [v for v in range(1, n + 1) if v not in in_set]
-        spec = AltSpec.of(*sets)
-        perms = list(signed_set_permutations(spec))
+        """A basis assignment where the alternated word is nonzero, or None.
+
+        The assignment maps each set's variables, in the order given, to
+        a strictly increasing tuple of basis indices, and each free
+        variable to any basis index; the first nonzero one is returned in
+        the order of set values by `product(combinations(range(p), r))`,
+        then free values by `product(range(p))`, with the alternated
+        word's value there.  For each choice of set values one signed
+        pass walks the word from its innermost letter outward: a state
+        is the mask of the values each set has used plus the free values
+        met, and carries the integer value (scaled basis) of the suffix
+        summed over every way to reach it.  Placing value c of a set
+        contributes (-1)^(used values of that set above c), so a finished
+        state carries the sum over the set permutations, up to the sign
+        of the order in which the word meets each set's variables."""
+        kernel = self.engine._content_ranks
+        p, brackets = kernel.p, kernel.brackets
+        r, n = len(sets[0]), len(word)
+        slot = {v: (s, i) for s, vs in enumerate(sets) for i, v in enumerate(vs)}
+        free = [v for v in range(1, n + 1) if v not in slot]
+        walk = word[::-1]  # innermost letter first
+        # a key holds bit s*r + i when set s has used its i-th value, and
+        # the t-th free value met in the digit of width `width` above them
+        width, free_base = p.bit_length(), len(sets) * r
+        # the letters' order signs, and each free variable's digit
+        order_sign, met, digit = 1, [[] for _ in sets], {}
+        for v in walk:
+            if v in slot:
+                s, i = slot[v]
+                order_sign *= (-1) ** sum(j > i for j in met[s])
+                met[s].append(i)
+            else:
+                digit[v] = free_base + len(digit) * width
+        free_steps = {
+            v: [(c << digit[v], 0, c) for c in range(p)] for v in free
+        }
+        full = (1 << width) - 1
+        scale = Fraction(order_sign, kernel.scale ** (n - 1))
         for set_vals in itertools.product(
             itertools.combinations(range(p), r), repeat=len(sets)
         ):
-            assign = {}
-            for s, vals in zip(sets, set_vals):
-                assign.update(zip(s, vals))
-            for free_vals in itertools.product(range(p), repeat=len(free)):
+            # per letter: (key bit, mask bits of the set's larger values, c)
+            steps = []
+            for v in walk:
+                if v not in slot:
+                    steps.append(free_steps[v])
+                    continue
+                s, _ = slot[v]
+                steps.append([
+                    (1 << (s * r + j), ((1 << r) - (2 << j)) << (s * r), c)
+                    for j, c in enumerate(set_vals[s])
+                ])
+            states = {}
+            for bit, _, c in steps[0]:
+                states[bit] = [int(l == c) for l in range(p)]
+            for branches in steps[1:]:
+                nxt: dict[int, list[int]] = {}
+                for key, value in states.items():
+                    for bit, above, c in branches:
+                        if key & bit:
+                            continue
+                        row = brackets[c]
+                        acc = nxt.get(key | bit)
+                        if acc is None:
+                            acc = nxt[key | bit] = [0] * p
+                        negate = (key & above).bit_count() & 1
+                        for k, x in enumerate(value):
+                            if x:
+                                if negate:
+                                    x = -x
+                                for l, y in row[k]:
+                                    acc[l] += x * y
+                states = {key: acc for key, acc in nxt.items() if any(acc)}
+                if not states:
+                    break
+            if states:
+                free_vals, key = min(
+                    (tuple((key >> digit[v]) & full for v in free), key)
+                    for key in states
+                )
+                assign = {}
+                for s, vals in zip(sets, set_vals):
+                    assign.update(zip(s, vals))
                 assign.update(zip(free, free_vals))
-                total = zero_vec(p)
-                for mapping, sign in perms:
-                    seq = tuple(
-                        assign[mapping.get(l, l)] for l in word
-                    )
-                    value = self.engine.evaluator.word_value(seq)
-                    if not is_zero_vec(value):
-                        total = vec_add(total, vec_scale(Fraction(sign), value))
-                if not is_zero_vec(total):
-                    return dict(assign), total
+                return assign, tuple(scale * x for x in states[key])
         return None
 
     def scan(self, n: int, r: int, k: int, mode: Mode,
@@ -587,7 +651,8 @@ class _AlternatedChecker:
             )
         if budget is not None and total > budget:
             raise BudgetExceededError(
-                f"{total} alternation checks exceed budget {budget}",
+                f"{count_text(total)} alternation checks exceed budget "
+                f"{count_text(budget)}",
                 required=total,
             )
         if r > self.algebra.dim:
@@ -602,8 +667,8 @@ class _AlternatedChecker:
         else:
             if population > sys.maxsize:
                 raise BudgetExceededError(
-                    f"{population} alternation checks are too many to "
-                    f"sample from (at most {sys.maxsize})",
+                    f"{count_text(population)} alternation checks are too "
+                    f"many to sample from (at most {sys.maxsize})",
                     required=population,
                 )
             # positions in the exact order above, drawn as if from its list

@@ -4,7 +4,8 @@ Everything here is deliberately independent of the library internals it
 checks: direct tree evaluation, brute-force tableau counting, an
 exhaustive bracketing enumeration for the exponent candidate, the
 symbolic Capelli check that the alternated-identity scan replaced, the
-listed sample that its index sampling replaced, the random centroid
+listed sample that its index sampling replaced, the permutation sum that
+its signed pass replaced, the random centroid
 element that the joint-eigenspace split replaced, and the multilinear
 tuple sweep, Young symmetrizer loop and Fraction elimination that
 multihomogeneous ranks replaced in exact codimensions and cocharacters.
@@ -19,7 +20,12 @@ from fractions import Fraction
 from picodim import AltSpec, CodimEngine, LieAlgebra, validate
 from picodim.errors import MalformedInputError
 from picodim.evaluation import SampledMode, _AlternatedChecker, _set_assignments
-from picodim.freelie import MultilinearPolynomial, alternate, basis_Pn
+from picodim.freelie import (
+    MultilinearPolynomial,
+    alternate,
+    basis_Pn,
+    signed_set_permutations,
+)
 from picodim.errors import NotSemisimpleError, NotSplitError
 from picodim.liealg import (
     StructureReport,
@@ -28,7 +34,16 @@ from picodim.liealg import (
     centroid,
     killing_form,
 )
-from picodim.linalg import Subspace, invert, mat_mul, rank_exact, zero_vec
+from picodim.linalg import (
+    Subspace,
+    invert,
+    is_zero_vec,
+    mat_mul,
+    rank_exact,
+    vec_add,
+    vec_scale,
+    zero_vec,
+)
 from picodim.symgroup import (
     Partition,
     YoungTableau,
@@ -218,6 +233,35 @@ def listed_sample_scan(engine: CodimEngine, n: int, r: int, k: int,
         if found is not None:
             return checks, exhaustive, (word, sets) + found
     return len(items), exhaustive, None
+
+
+def permutation_find_nonzero(engine: CodimEngine, word, sets):
+    """Oracle for `_AlternatedChecker.find_nonzero`: for each basis
+    assignment, in the same order, sums the word's cached values over
+    every signed permutation of the alternating sets."""
+    p = engine.algebra.dim
+    r = len(sets[0])
+    n = len(word)
+    in_set = set(itertools.chain.from_iterable(sets))
+    free = [v for v in range(1, n + 1) if v not in in_set]
+    perms = list(signed_set_permutations(AltSpec.of(*sets)))
+    for set_vals in itertools.product(
+        itertools.combinations(range(p), r), repeat=len(sets)
+    ):
+        assign = {}
+        for s, vals in zip(sets, set_vals):
+            assign.update(zip(s, vals))
+        for free_vals in itertools.product(range(p), repeat=len(free)):
+            assign.update(zip(free, free_vals))
+            total = zero_vec(p)
+            for mapping, sign in perms:
+                seq = tuple(assign[mapping.get(l, l)] for l in word)
+                value = engine.evaluator.word_value(seq)
+                if not is_zero_vec(value):
+                    total = vec_add(total, vec_scale(Fraction(sign), value))
+            if not is_zero_vec(total):
+                return dict(assign), total
+    return None
 
 
 def randomized_simple_decomposition(algebra: LieAlgebra, seed: int):

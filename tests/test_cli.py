@@ -145,6 +145,13 @@ def test_budget_exceeded_exit_code():
         # more alternations than random.sample can index
         ("capelli", "sl2", "--t", "2", "--n", "40", "--mode", "sampled",
          "--samples", "10"),
+        # counts past Python's 4300-digit int-to-str limit: 3^10000
+        # evaluation points, and over 10^5700 alternations to sample
+        # from or to check against the budget
+        ("capelli", "sl2", "--t", "2", "--n", "10000"),
+        ("capelli", "sl2", "--t", "2", "--n", "2000", "--mode", "sampled",
+         "--samples", "5"),
+        ("verify-upper", "sl2", "--k", "1", "--n", "2000"),
     ):
         code, payload = invoke_json(*argv, "--no-cache")
         assert code == 4

@@ -9,15 +9,23 @@ from picodim import (
     CATALOG_NAMES,
     CodimEngine,
     ExactMode,
+    QPolySpec,
     SampledMode,
     Subspace,
     catalog_algebra,
     change_basis,
     evaluate,
+    find_lower_witness,
+    verify_upper,
 )
 from picodim import evaluation, symgroup
-from picodim.errors import BudgetExceededError, MalformedInputError
-from picodim.evaluation import _AlternatedChecker, _alternating_contents, _ColumnSpace
+from picodim.errors import BudgetExceededError, MalformedInputError, count_text
+from picodim.evaluation import (
+    _AlternatedChecker,
+    _alternating_contents,
+    _ColumnSpace,
+    _set_assignments,
+)
 from picodim.freelie import (
     MultilinearPolynomial,
     basis_Pn,
@@ -31,8 +39,10 @@ from picodim.symgroup import partitions
 from helpers import (
     listed_sample_scan,
     multilinear_columns,
+    permutation_find_nonzero,
     random_fraction,
     random_invertible,
+    sl2_over_sqrt2,
     symbolic_capelli_holds,
     symmetrizer_cocharacter,
 )
@@ -505,3 +515,66 @@ def test_sampled_capelli_at_high_degree_lists_nothing(engine_for):
     # 120 * 9! items: the sample is decoded from positions, not a list
     assert not sl2.capelli_holds(3, 10, SampledMode(count=10))
     assert sl2.capelli_holds(4, 12, SampledMode(count=10))
+
+
+def test_find_nonzero_matches_permutation_oracle(engine_for):
+    # the signed pass returns the permutation sum's first hit, value
+    # included, or None with it: every catalog algebra to n = 5, two
+    # base changes each (scaled brackets, D > 1) and sl2 over Q(sqrt 2)
+    # to n = 4, on a random slice of every (n, r, k) cell with r <= dim L
+    rng = random.Random(8)
+    cases = [(engine_for(name), 5) for name in CATALOG_NAMES]
+    for name in CATALOG_NAMES:
+        algebra = catalog_algebra(name)
+        for _ in range(2):
+            moved = change_basis(algebra, random_invertible(rng, algebra.dim))
+            cases.append((CodimEngine(moved), 4))
+    cases.append((CodimEngine(sl2_over_sqrt2()), 4))
+    assert sum(engine._content_ranks.scale > 1 for engine, _ in cases) >= 10
+    outcomes = []
+    for engine, n_max in cases:
+        checker = _AlternatedChecker(engine)
+        for n in range(1, n_max + 1):
+            words = basis_Pn(n)
+            for r in range(1, min(engine.algebra.dim, n) + 1):
+                for k in range(1, n // r + 1):
+                    assignments = list(_set_assignments(n, r, k))
+                    for sets in rng.sample(assignments, min(3, len(assignments))):
+                        # the sets' variables in the given order, then reversed
+                        for order in (sets, tuple(s[::-1] for s in sets)):
+                            for word in rng.sample(words, min(3, len(words))):
+                                found = checker.find_nonzero(word, order)
+                                assert found == permutation_find_nonzero(
+                                    engine, word, order
+                                ), (engine.algebra.labels, word, order)
+                                outcomes.append(found is not None)
+    assert sum(outcomes) > 1000 and outcomes.count(False) > 200
+
+
+def test_alternation_scan_evaluates_no_cached_words(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the alternation scan evaluated cached words")
+
+    monkeypatch.setattr(evaluation.Evaluator, "word_value", forbidden)
+    # c_6 = 0 in both, so every alternation of every word is checked
+    for name in ("heisenberg3", "abelian3"):
+        assert CodimEngine(catalog_algebra(name)).capelli_holds(2, 6)
+    sl2 = catalog_algebra("sl2")
+    assert not CodimEngine(sl2).capelli_holds(3, 5)
+    assert not CodimEngine(sl2).capelli_holds(3, 6, SampledMode(count=5))
+    assert verify_upper(sl2, QPolySpec(r=4, k=1, n=5)).passed
+    assert verify_upper(sl2, QPolySpec(r=3, k=1, n=4)).counterexample is not None
+    assert verify_upper(sl2, QPolySpec(r=4, k=2, n=8), SampledMode(count=5)).passed
+    # every check at n = 6 misses, the first at n = 7 hits
+    witness = find_lower_witness(sl2, 3, 2, 7)
+    assert witness.spec.n == 7 and witness.value == (64, 0, 0)
+
+
+def test_count_text_never_converts_a_huge_int():
+    assert count_text(0) == "0"
+    assert count_text(10**30 - 1) == "9" * 30
+    assert count_text(10**30) == "at least 10^30"
+    assert count_text(10**31 - 1) == "at least 10^30"
+    assert count_text(3**10000) == "at least 10^4771"
+    assert count_text(10**5000) == "at least 10^5000"
+    assert count_text(10**5000 - 1) == "at least 10^4999"

@@ -22,7 +22,10 @@ for argv in (["codim", "sl2", "--n", "3", "--no-cache"],
              ["growth", "sl2", "--max-n", "3", "--mode", "sampled",
               "--samples", "20", "--no-cache"],
              ["capelli", "sl2", "--t", "3", "--n", "4", "--no-cache"],
-             ["cocharacter", "sl2", "--n", "3", "--no-cache"]):
+             ["cocharacter", "sl2", "--n", "3", "--no-cache"],
+             ["verify-upper", "sl2", "--mode", "sampled", "--samples", "5",
+              "--no-cache"],
+             ["find-witness", "sl2", "--max-n", "4", "--no-cache"]):
     assert cli.run(argv, stdout=io.StringIO()) == 0, argv
 print(json.dumps(sorted(t.report()["spans"])))
 """
@@ -45,6 +48,8 @@ def test_tracer_installs_and_traces_every_layer():
         "evaluation.capelli",
         "evaluation.cocharacter",
         "exponent.alt_check",
+        "exponent.verify_upper",
+        "exponent.find_witness",
         "exponent.growth",
         "exponent.candidate",
         "exponent.height_spans",
