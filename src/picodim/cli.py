@@ -56,13 +56,17 @@ ALGORITHMS = {
 }
 
 
+# the commands that read --mode; the others never sample
+SAMPLING_COMMANDS = {"codim", "cocharacter", "capelli", "verify-upper", "growth"}
+
+
 @dataclass(frozen=True)
-class RunConfig:
-    mode: str = "exact"  # exact | sampled
-    seed: int = 0
-    tuple_budget: int = DEFAULT_TUPLE_BUDGET
-    sample_count: int = 1000
-    output_format: str = "json"  # json | csv | text
+class RunConfig:  # the global options of one run, defaults in GLOBAL_DEFAULTS
+    mode: str  # exact | sampled
+    seed: int
+    tuple_budget: int
+    sample_count: int
+    output_format: str  # json | csv | text
 
     def __post_init__(self):
         if self.tuple_budget < 1 or self.sample_count < 1:
@@ -76,14 +80,15 @@ class RunConfig:
         raise MalformedInputError(f"unknown mode {self.mode!r}")
 
     def provenance(self, command: str) -> dict:
+        mode = self.mode if command in SAMPLING_COMMANDS else "exact"
         out = {
             "version": __version__,
-            "mode": self.mode,
+            "mode": mode,
             "seed": self.seed,
             "tuple_budget": self.tuple_budget,
             "sample_count": self.sample_count,
         }
-        if command in ALGORITHMS and self.mode == "exact":
+        if command in ALGORITHMS and mode == "exact":
             out["algorithm"] = ALGORITHMS[command]
         return out
 
@@ -328,13 +333,7 @@ def run(argv=None, stdout=None) -> int:
     out = stdout
     close_out = False
     try:
-        config = RunConfig(
-            mode=args.mode,
-            seed=args.seed,
-            tuple_budget=args.budget,
-            sample_count=args.samples,
-            output_format=args.format,
-        )
+        config = RunConfig(args.mode, args.seed, args.budget, args.samples, args.format)
         if args.out:
             try:
                 out = open(args.out, "w")

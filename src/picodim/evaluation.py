@@ -2,30 +2,27 @@
 decision, codimensions c_n, cocharacter multiplicities m_lambda,
 colengths l_n, and alternated-identity checks.
 
-Exact answers come from one kernel, multihomogeneous ranks
-(`_ContentRanks`): S_n-cocharacters are GL_m-characters of the
+Every engine value comes from one integer kernel, multihomogeneous
+ranks (`_ContentRanks`): S_n-cocharacters are GL_m-characters of the
 relatively free algebra F_m(L) (Berele 1982, Drensky 1984), so m_lambda
 is an alternating sum of the dimensions h(mu) of its content-mu parts,
-each the rank of a small integer matrix of right-normed words evaluated
-at generic elements, and c_n = sum m_lambda d_lambda.  The content-1^n
-matrix is the multilinear one: its rows are the canonical basis words
-of P_n and its columns are (basis tuple, coordinate) pairs, so a
-polynomial is an identity iff its coefficient vector pairs to zero with
-every kept column.  Every rank comes from `_ColumnSpace`, which
-eliminates fraction-free over the integers.  Exact work is budgeted in
-generic evaluation points, sum over the contents mu of
-prod_i C(dim L + mu_i - 1, mu_i), which is dim(L)^n at mu = 1^n.
+each the rank of right-normed words evaluated at generic elements, and
+c_n = sum m_lambda d_lambda.  The content-1^n matrix is the multilinear
+one (rows: the basis words of P_n; columns: basis tuple and coordinate),
+so a polynomial is an identity iff it pairs to zero with every kept
+column; sampled mode walks the same kernel at random basis tuples.
+Ranks come from `_ColumnSpace`, fraction-free over the integers.  Exact
+work is budgeted in generic evaluation points, sum over the contents mu
+of prod_i C(dim L + mu_i - 1, mu_i), which is dim(L)^n at mu = 1^n.
 
-Three methods choose between exact and sampled mode:
-`CodimEngine.columns` (the content-1^n columns, or those of `count`
-random basis tuples, stopping early at full rank (n-1)!), which
-`is_identity` pairs against in either mode, `CodimEngine.cocharacter`
-(multihomogeneous ranks, or Young symmetrizer images paired with
-sampled columns) and `_AlternatedChecker.scan` (every alternation, or a
-random sample of them).  Alternations of basis words are never built
-symbolically: for `capelli_holds`, `exponent.verify_upper` and
-`exponent.find_lower_witness` the scan evaluates them on strictly
-increasing basis assignments of each alternating set, summing every set
+Three methods choose between exact and sampled mode: `CodimEngine.columns`
+(the content-1^n columns, or those of `count` random basis tuples until
+the rank reaches (n-1)!), which `is_identity` pairs against,
+`CodimEngine.cocharacter` (multihomogeneous ranks, or Young symmetrizer
+images paired with sampled columns) and `_AlternatedChecker.scan` (every
+alternation, or a sample).  For `capelli_holds`, `exponent.verify_upper`
+and `exponent.find_lower_witness` the scan evaluates alternations on
+strictly increasing basis assignments of each set, summing every set
 permutation in one signed pass over the word with the kernel's integer
 brackets.  Exact verdicts are proofs; sampled mode only refutes, so its
 c_n and m_lambda are lower bounds.
@@ -39,7 +36,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial, gcd, lcm
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import BudgetExceededError, MalformedInputError, count_text
 from .freelie import (
@@ -80,44 +77,34 @@ Mode = "ExactMode | SampledMode"
 
 
 class Evaluator:
-    """Caches values of right-normed words at basis tuples.
+    """Caches the Fraction values of right-normed words at basis tuples,
+    keyed by the sequence of 0-based basis indices substituted into the
+    word, so suffixes are shared across all words and all tuples.
 
-    A word evaluation is keyed by the sequence of 0-based basis indices
-    substituted into the word, so suffixes are shared across all words
-    and all tuples.
+    No engine path uses it, as the kernel evaluates over the integers.
+    It stays as the Fraction reference evaluation of the test oracles,
+    and `perfbench/tracer.py` patches its methods by name.
     """
 
     def __init__(self, algebra: LieAlgebra):
         self.algebra = algebra
         self._cache: dict[tuple[int, ...], Vector] = {}
-        self._basis = [algebra.basis_vector(i) for i in range(algebra.dim)]
-        self._ad = {}
-
-    def _bracket_left_basis(self, i: int, v: Vector) -> Vector:
-        out = None
-        for j, c in enumerate(v):
-            if c == 0:
-                continue
-            row = self._ad.get((i, j))
-            if row is None:
-                row = self.algebra.bracket_basis(i, j)
-                self._ad[(i, j)] = row
-            if is_zero_vec(row):
-                continue
-            term = vec_scale(c, row)
-            out = term if out is None else vec_add(out, term)
-        return out if out is not None else zero_vec(self.algebra.dim)
 
     def word_value(self, seq: tuple[int, ...]) -> Vector:
         """Value of the right-normed word on the basis elements seq."""
-        cached = self._cache.get(seq)
-        if cached is not None:
-            return cached
-        if len(seq) == 1:
-            value = self._basis[seq[0]]
-        else:
-            value = self._bracket_left_basis(seq[0], self.word_value(seq[1:]))
-        self._cache[seq] = value
+        value = self._cache.get(seq)
+        if value is None:
+            if len(seq) == 1:
+                value = self.algebra.basis_vector(seq[0])
+            else:
+                out = [Fraction(0)] * self.algebra.dim
+                for j, c in enumerate(self.word_value(seq[1:])):
+                    if c:
+                        for k, x in enumerate(self.algebra.bracket_basis(seq[0], j)):
+                            if x:
+                                out[k] += c * x
+                value = tuple(out)
+            self._cache[seq] = value
         return value
 
 
@@ -229,21 +216,12 @@ class _ContentRanks:
         values = self._values(mu)
         if words is None:
             words = list(values)
-        index = {w: i for i, w in enumerate(words)}
-        columns: dict[int, list[int]] = {}
-        for w, row in values.items():
-            i = index[w]
-            for key, c in row.items():
-                col = columns.get(key)
-                if col is None:
-                    col = columns[key] = [0] * len(words)
-                col[i] = c
         nonzero = len(values)
+        columns = _transpose(values, words)
         del values  # the columns hold every entry; free the row dicts
         space = _ColumnSpace()
         seen: set = set()
-        for col in columns.values():
-            col = tuple(col)
+        for col in columns:
             if col in seen:
                 continue
             seen.add(col)
@@ -252,20 +230,24 @@ class _ContentRanks:
                 break
         return space
 
-    def _values(self, mu: tuple[int, ...]) -> dict[Word, dict[int, int]]:
+    def _values(self, mu: tuple[int, ...], point=None) -> dict[Word, dict[int, int]]:
         """Nonzero values of the distinct content-mu words ending in the
         last variable, keyed by word (1-based letters), built outward
         from that letter: a depth-first walk over suffixes, so each
         suffix is evaluated once and only the current path is held; a
-        zero suffix prunes every word that ends in it."""
+        zero suffix prunes every word that ends in it.  With a basis
+        tuple `point`, variable v is e_{point[v]} instead of generic, so
+        a value's key is its coordinate alone."""
         p, m, n = self.p, len(mu), sum(mu)
         base = n + 1
-        # shift[v][j]: key offset of multiplying by xi_vj
-        shift = [[base ** (v * p + j) * p for j in range(p)] for v in range(m)]
+        picks = [range(p)] * m if point is None else [(j,) for j in point]
+        # shift[v][j]: key offset of multiplying by xi_vj (none at a point)
+        shift = [[base ** (v * p + j) * p if point is None else 0 for j in range(p)]
+                 for v in range(m)]
         # [x_v, e_k] as (key offset, coefficient) pairs
         terms = [
             [
-                [(shift[v][j] + l, c) for j in range(p) for l, c in self.brackets[j][k]]
+                [(shift[v][j] + l, c) for j in picks[v] for l, c in self.brackets[j][k]]
                 for k in range(p)
             ]
             for v in range(m)
@@ -295,8 +277,23 @@ class _ContentRanks:
                     extend(out, (v + 1,) + word, left - 1)
                     remaining[v] += 1
 
-        extend({shift[m - 1][j] + j: 1 for j in range(p)}, (m,), n - 1)
+        extend({shift[m - 1][j] + j: 1 for j in picks[m - 1]}, (m,), n - 1)
         return rows
+
+
+def _transpose(values: dict[Word, dict[int, int]], words: list[Word]) -> Iterator:
+    """The columns of `_ContentRanks._values`, one tuple per key, with a
+    row for each of `words`; each tuple is built when it is reached."""
+    index = {w: i for i, w in enumerate(words)}
+    columns: dict[int, list[int]] = {}
+    for w, row in values.items():
+        i = index[w]
+        for key, c in row.items():
+            col = columns.get(key)
+            if col is None:
+                col = columns[key] = [0] * len(words)
+            col[i] = c
+    return (tuple(col) for col in columns.values())
 
 
 @dataclass(frozen=True)
@@ -321,25 +318,21 @@ class CocharacterTable:
 
 
 class CodimEngine:
-    """Per-algebra engine; reuses word-value caches and column selections
-    across calls at the same degree."""
+    """Per-algebra engine; keeps its multihomogeneous ranks and column
+    selections across calls at the same degree."""
 
     def __init__(self, algebra: LieAlgebra, tuple_budget: int = DEFAULT_TUPLE_BUDGET):
         self.algebra = algebra
         self.tuple_budget = tuple_budget
-        self.evaluator = Evaluator(algebra)
         self._content_ranks = _ContentRanks(algebra)
         self._columns: dict[tuple[int, Mode], _ColumnSpace] = {}
 
     # -- column generation ------------------------------------------------
 
     def _tuple_columns(self, words: list[Word], tup: tuple[int, ...]):
-        p = self.algebra.dim
-        values = [
-            self.evaluator.word_value(tuple(tup[l - 1] for l in w)) for w in words
-        ]
-        for coord in range(p):
-            yield tuple(v[coord] for v in values)
+        """The nonzero columns of `words` at the basis tuple `tup`, times D^(n-1)."""
+        values = self._content_ranks._values((1,) * len(tup), tup)
+        return _transpose(values, words)
 
     def _require_budget(self, contents: Iterable[tuple[int, ...]]) -> None:
         """Raise unless the generic evaluation points of the contents,
@@ -451,10 +444,10 @@ class CodimEngine:
         space = self.columns(n, mode)
         words = basis_Pn(n)
         rows = []
-        height_cap = self.algebra.dim  # alternating > dim L basis slots repeats
         for shape in partitions(n):
             d = hook_dim(shape)
-            if shape.height > height_cap or space.rank == 0:
+            # alternating more than dim L basis slots repeats one
+            if shape.height > self.algebra.dim or space.rank == 0:
                 rows.append(CocharacterRow(shape, 0, d))
                 continue
             tableau = YoungTableau.row_reading(shape)

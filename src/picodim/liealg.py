@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable
 
 from .errors import (
@@ -304,11 +305,7 @@ def _coords_in(vectors: list[Vector], target: Vector, ambient: int):
 
 def _rational_roots(coeffs: list[Fraction]) -> list[Fraction]:
     """All rational roots (with multiplicity ignored) of the polynomial."""
-    from math import gcd
-
-    denom_lcm = 1
-    for c in coeffs:
-        denom_lcm = denom_lcm * c.denominator // gcd(denom_lcm, c.denominator)
+    denom_lcm = lcm(*(c.denominator for c in coeffs))
     ints = [int(c * denom_lcm) for c in coeffs]
     roots: list[Fraction] = []
     while ints and ints[0] == 0:
@@ -487,18 +484,24 @@ def to_json_dict(algebra: LieAlgebra) -> dict:
     }
 
 
+def _json_positive(value, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise MalformedInputError(f"{what} must be a positive integer, got {value!r}")
+    return value
+
+
 def from_json_dict(data: dict) -> LieAlgebra:
     if not isinstance(data, dict):
         raise MalformedInputError("algebra JSON must be an object")
-    try:
-        n = int(data["dim"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedInputError("missing or bad 'dim' field") from exc
+    n = _json_positive(data.get("dim"), "'dim'")
     labels = data.get("basis") or [f"b{i+1}" for i in range(n)]
-    if len(labels) != n:
-        raise MalformedInputError(f"'basis' has {len(labels)} names, expected {n}")
+    if not isinstance(labels, list) or len(labels) != n:
+        raise MalformedInputError(f"'basis' must be a list of {n} names")
+    brackets = data.get("brackets", {})
+    if not isinstance(brackets, dict):
+        raise MalformedInputError("'brackets' must be an object")
     table: dict[tuple[int, int], list[Fraction]] = {}
-    for key, entries in (data.get("brackets") or {}).items():
+    for key, entries in brackets.items():
         try:
             i_s, j_s = key.split(",")
             i, j = int(i_s) - 1, int(j_s) - 1
@@ -506,11 +509,14 @@ def from_json_dict(data: dict) -> LieAlgebra:
             raise MalformedInputError(f"bad bracket key {key!r}") from exc
         if not (0 <= i < j < n):
             raise MalformedInputError(f"bracket key {key!r} out of range or i >= j")
+        if not isinstance(entries, list):
+            raise MalformedInputError(f"bracket {key!r} must be a list of entries")
         value = [Fraction(0)] * n
         for entry in entries:
-            if len(entry) != 2:
+            if not isinstance(entry, list) or len(entry) != 2:
                 raise MalformedInputError(f"bad bracket entry {entry!r} at {key!r}")
-            coeff, k = parse_fraction(entry[0]), int(entry[1]) - 1
+            coeff = parse_fraction(entry[0])
+            k = _json_positive(entry[1], f"basis index at {key!r}") - 1
             if not 0 <= k < n:
                 raise MalformedInputError(f"basis index {entry[1]} out of range at {key!r}")
             value[k] += coeff

@@ -220,7 +220,7 @@ def format_fraction(x: Fraction) -> str:
 
 
 def parse_fraction(s) -> Fraction:
-    if isinstance(s, int):
+    if isinstance(s, int) and not isinstance(s, bool):
         return Fraction(s)
     if isinstance(s, str):
         try:

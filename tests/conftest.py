@@ -5,7 +5,7 @@ from picodim import CodimEngine, catalog_algebra
 
 @pytest.fixture(scope="session")
 def engine_for():
-    """Session-shared codimension engines so word-value caches are reused."""
+    """Session-shared codimension engines so their ranks and column spaces are reused."""
     cache = {}
 
     def get(name: str) -> CodimEngine:

@@ -6,9 +6,11 @@ exhaustive bracketing enumeration for the exponent candidate, the
 symbolic Capelli check that the alternated-identity scan replaced, the
 listed sample that its index sampling replaced, the permutation sum that
 its signed pass replaced, the random centroid
-element that the joint-eigenspace split replaced, and the multilinear
+element that the joint-eigenspace split replaced, the multilinear
 tuple sweep, Young symmetrizer loop and Fraction elimination that
-multihomogeneous ranks replaced in exact codimensions and cocharacters.
+multihomogeneous ranks replaced in exact codimensions and cocharacters,
+and the `Evaluator` word-cache loop that the kernel replaced in sampled
+columns.
 """
 
 from __future__ import annotations
@@ -19,7 +21,12 @@ from fractions import Fraction
 
 from picodim import AltSpec, CodimEngine, LieAlgebra, validate
 from picodim.errors import MalformedInputError
-from picodim.evaluation import SampledMode, _AlternatedChecker, _set_assignments
+from picodim.evaluation import (
+    Evaluator,
+    SampledMode,
+    _AlternatedChecker,
+    _set_assignments,
+)
 from picodim.freelie import (
     MultilinearPolynomial,
     alternate,
@@ -235,11 +242,12 @@ def listed_sample_scan(engine: CodimEngine, n: int, r: int, k: int,
     return len(items), exhaustive, None
 
 
-def permutation_find_nonzero(engine: CodimEngine, word, sets):
+def permutation_find_nonzero(evaluator: Evaluator, word, sets):
     """Oracle for `_AlternatedChecker.find_nonzero`: for each basis
-    assignment, in the same order, sums the word's cached values over
-    every signed permutation of the alternating sets."""
-    p = engine.algebra.dim
+    assignment, in the same order, sums the word's values, cached in
+    `evaluator` (one per algebra, shared by the calls on it), over every
+    signed permutation of the alternating sets."""
+    p = evaluator.algebra.dim
     r = len(sets[0])
     n = len(word)
     in_set = set(itertools.chain.from_iterable(sets))
@@ -256,7 +264,7 @@ def permutation_find_nonzero(engine: CodimEngine, word, sets):
             total = zero_vec(p)
             for mapping, sign in perms:
                 seq = tuple(assign[mapping.get(l, l)] for l in word)
-                value = engine.evaluator.word_value(seq)
+                value = evaluator.word_value(seq)
                 if not is_zero_vec(value):
                     total = vec_add(total, vec_scale(Fraction(sign), value))
             if not is_zero_vec(total):
@@ -331,25 +339,45 @@ class _FractionColumns:
                 return
 
 
-def multilinear_columns(engine: CodimEngine, n: int) -> _FractionColumns:
-    """Oracle for the exact column space of degree n: a maximal
-    independent set of the (basis tuple, coordinate) columns of P_n over
-    every basis tuple, rows in `basis_Pn(n)` order, so its rank is c_n."""
-    algebra = engine.algebra
+def _tuple_columns(evaluator: Evaluator, words, tup):
+    """The (coordinate) columns of `words` at the basis tuple `tup`."""
+    values = [evaluator.word_value(tuple(tup[l - 1] for l in w)) for w in words]
+    return [tuple(v[coord] for v in values) for coord in range(evaluator.algebra.dim)]
+
+
+def _select_columns(engine: CodimEngine, n: int, tuples) -> _FractionColumns:
+    """A maximal independent set of the distinct columns of P_n at
+    `tuples`, rows in `basis_Pn(n)` order, stopping at full rank."""
+    evaluator = Evaluator(engine.algebra)
     words = basis_Pn(n)
     space, seen = _FractionColumns(), set()
-    for tup in itertools.product(range(algebra.dim), repeat=n):
-        values = [
-            engine.evaluator.word_value(tuple(tup[l - 1] for l in w)) for w in words
-        ]
-        for coord in range(algebra.dim):
-            col = tuple(v[coord] for v in values)
+    for tup in tuples:
+        for col in _tuple_columns(evaluator, words, tup):
             if col not in seen:
                 seen.add(col)
                 space.insert(col)
         if len(space.kept) == len(words):
             break
     return space
+
+
+def multilinear_columns(engine: CodimEngine, n: int) -> _FractionColumns:
+    """Oracle for the exact column space of degree n: a maximal
+    independent set of the (basis tuple, coordinate) columns of P_n over
+    every basis tuple, rows in `basis_Pn(n)` order, so its rank is c_n."""
+    return _select_columns(
+        engine, n, itertools.product(range(engine.algebra.dim), repeat=n)
+    )
+
+
+def evaluator_sampled_columns(engine: CodimEngine, n: int,
+                              mode: SampledMode) -> _FractionColumns:
+    """Oracle for sampled `CodimEngine.columns`: the Fraction columns of
+    the same `mode.count` random basis tuples, through the `Evaluator`
+    word cache; the engine's columns are these times D^(n-1)."""
+    rng, p = random.Random(mode.seed), engine.algebra.dim
+    tuples = (tuple(rng.randrange(p) for _ in range(n)) for _ in range(mode.count))
+    return _select_columns(engine, n, tuples)
 
 
 def symmetrizer_cocharacter(engine: CodimEngine, n: int) -> dict:

@@ -2,6 +2,9 @@ import hashlib
 import io
 import json
 
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
 from picodim import __version__, catalog_algebra, to_json_dict
 from picodim.cli import load_algebra, run
 
@@ -287,3 +290,79 @@ def test_sampled_provenance_names_no_exact_algorithm():
     assert code == 0
     assert payload["provenance"]["version"] == __version__
     assert "algorithm" not in payload["provenance"]
+
+
+def test_commands_that_never_sample_report_exact_mode():
+    for argv in (("catalog",), ("validate", "sl2"), ("analyze", "sl2"),
+                 ("exponent", "sl2"), ("find-witness", "sl2", "--max-n", "4")):
+        code, payload = invoke_json(*argv, "--mode", "sampled", "--no-cache")
+        assert code == 0, argv
+        assert payload["provenance"]["mode"] == "exact", argv
+    code, payload = invoke_json("codim", "sl2", "--n", "3", "--mode", "sampled",
+                                "--no-cache")
+    assert payload["provenance"]["mode"] == "sampled"
+
+
+_scalar = (st.none() | st.booleans() | st.integers(-2, 5) | st.text(max_size=3)
+           | st.floats(-10, 10, allow_nan=False))
+_junk = st.recursive(
+    _scalar,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+_entry = st.tuples(
+    st.sampled_from(["1", "-2", "1/2", "x", "1/0", 1]) | _junk,
+    st.integers(0, 5) | _junk,
+).map(list) | _junk
+_key = st.tuples(st.integers(0, 5), st.integers(0, 5)).map("{0[0]},{0[1]}".format)
+_algebra_json = st.fixed_dictionaries({"dim": st.integers(0, 4) | _junk}, optional={
+    "basis": st.lists(st.text(max_size=2), max_size=5) | _junk,
+    "brackets": st.dictionaries(_key | st.text(max_size=4),
+                                st.lists(_entry, max_size=3) | _junk,
+                                max_size=4) | _junk,
+}) | _junk
+_small = st.integers(-1, 5).map(str)
+_options = {  # per command: (option, value) pairs it may get
+    "catalog": [],
+    "validate": [], "analyze": [], "exponent": [],
+    "codim": [("--n", _small)],
+    "cocharacter": [("--n", _small)],
+    "capelli": [("--t", _small), ("--n", _small)],
+    "verify-upper": [("--r", _small), ("--k", _small), ("--n", _small)],
+    "find-witness": [("--r", _small), ("--k", _small), ("--max-n", _small)],
+    "growth": [("--max-n", _small)],
+}
+_required = {"--n", "--t", "--max-n"}  # always passed, so n stays <= 5
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), algebra=_algebra_json)
+@example(data=None, algebra={"dim": 2, "brackets": [1]})
+@example(data=None, algebra={"dim": 2, "brackets": {"1,2": 5}})
+@example(data=None, algebra={"dim": 2, "brackets": {"1,2": [["1", "x"]]}})
+def test_cli_fuzz_exits_cleanly_with_json(tmp_path, data, algebra):
+    # random argv over random algebra JSON files and small catalog
+    # algebras: every run exits 0, 2, 3, 4 or 5 and prints JSON
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps(algebra))
+    if data is None:  # an explicit example: validate the file
+        command, source, argv = "validate", str(path), []
+    else:
+        command = data.draw(st.sampled_from(sorted(_options)))
+        source = data.draw(st.just(str(path)) | st.sampled_from(
+            ["sl2", "gl2", "heisenberg3", "solvable2", "abelian(2)"]
+        ))
+        argv = []
+        for option, values in _options[command]:
+            if option in _required or data.draw(st.booleans()):
+                argv += [option, data.draw(values)]
+        argv += ["--mode", data.draw(st.sampled_from(["exact", "sampled"])),
+                 "--seed", str(data.draw(st.integers(-3, 3))),
+                 "--budget", str(data.draw(st.integers(1, 10**4))),
+                 "--samples", str(data.draw(st.integers(1, 30)))]
+    argv = [command] + ([] if command == "catalog" else [source]) + argv
+    code, text = invoke(*argv, "--format", "json", "--no-cache")
+    assert code in (0, 2, 3, 4, 5), argv
+    json.loads(text)

@@ -16,11 +16,13 @@ from picodim import (
     change_basis,
     evaluate,
     find_lower_witness,
+    growth_report,
     verify_upper,
 )
 from picodim import evaluation, symgroup
 from picodim.errors import BudgetExceededError, MalformedInputError, count_text
 from picodim.evaluation import (
+    Evaluator,
     _AlternatedChecker,
     _alternating_contents,
     _ColumnSpace,
@@ -37,6 +39,7 @@ from picodim.linalg import is_zero_vec, kernel, rank_exact, unit_vec
 from picodim.symgroup import partitions
 
 from helpers import (
+    evaluator_sampled_columns,
     listed_sample_scan,
     multilinear_columns,
     permutation_find_nonzero,
@@ -139,6 +142,36 @@ def test_codimension_sampled_answers_are_pinned(engine_for):
     for n, expected in pinned.items():
         got = [engine.codimension(n, SampledMode(count=400, seed=s)) for s in range(3)]
         assert got == expected, n
+
+
+def test_sampled_columns_match_evaluator_oracle(engine_for):
+    # the kernel at the drawn basis tuples spans what the Evaluator word
+    # cache spans there, with the same rank: every catalog algebra to
+    # n = 5, two base changes each and sl2 over Q(sqrt 2) (D > 1)
+    rng = random.Random(9)
+    engines = [engine_for(name) for name in CATALOG_NAMES]
+    for name in CATALOG_NAMES:
+        algebra = catalog_algebra(name)
+        engines += [
+            CodimEngine(change_basis(algebra, random_invertible(rng, algebra.dim)))
+            for _ in range(2)
+        ]
+    engines.append(CodimEngine(sl2_over_sqrt2()))
+    assert sum(engine._content_ranks.scale > 1 for engine in engines) >= 10
+    for engine in engines:
+        scale = engine._content_ranks.scale
+        for n in range(1, 6):
+            words = basis_Pn(n)
+            for mode in (SampledMode(count=2, seed=n), SampledMode(count=20, seed=n)):
+                got = engine.columns(n, mode)
+                expected = evaluator_sampled_columns(engine, n, mode)
+                assert got.rank == len(expected.kept), (engine.algebra.labels, n, mode)
+                scaled = [
+                    tuple(Fraction(x, scale ** (n - 1)) for x in col) for col in got.kept
+                ]
+                assert Subspace.from_vectors(len(words), scaled) == (
+                    Subspace.from_vectors(len(words), expected.kept)
+                ), (engine.algebra.labels, n, mode)
 
 
 def test_unknown_mode_is_rejected(engine_for):
@@ -533,7 +566,7 @@ def test_find_nonzero_matches_permutation_oracle(engine_for):
     assert sum(engine._content_ranks.scale > 1 for engine, _ in cases) >= 10
     outcomes = []
     for engine, n_max in cases:
-        checker = _AlternatedChecker(engine)
+        checker, evaluator = _AlternatedChecker(engine), Evaluator(engine.algebra)
         for n in range(1, n_max + 1):
             words = basis_Pn(n)
             for r in range(1, min(engine.algebra.dim, n) + 1):
@@ -545,17 +578,31 @@ def test_find_nonzero_matches_permutation_oracle(engine_for):
                             for word in rng.sample(words, min(3, len(words))):
                                 found = checker.find_nonzero(word, order)
                                 assert found == permutation_find_nonzero(
-                                    engine, word, order
+                                    evaluator, word, order
                                 ), (engine.algebra.labels, word, order)
                                 outcomes.append(found is not None)
     assert sum(outcomes) > 1000 and outcomes.count(False) > 200
 
 
-def test_alternation_scan_evaluates_no_cached_words(monkeypatch):
+def test_engine_evaluates_no_cached_words(monkeypatch):
     def forbidden(*args, **kwargs):
-        raise AssertionError("the alternation scan evaluated cached words")
+        raise AssertionError("the engine evaluated cached words")
 
     monkeypatch.setattr(evaluation.Evaluator, "word_value", forbidden)
+    monkeypatch.setattr(evaluation.Evaluator, "__init__", forbidden)
+    # sampled columns walk the kernel at basis tuples
+    natural = catalog_algebra("sl2_natural")
+    engine, sampled = CodimEngine(natural), SampledMode(count=50, seed=1)
+    assert [engine.codimension(n, sampled) for n in range(1, 6)] == [1, 1, 2, 5, 7]
+    assert engine.cocharacter(4, sampled) == engine.cocharacter(4)
+    assert not engine.is_identity(rewrite((1, 2)), sampled)
+    assert CodimEngine(catalog_algebra("heisenberg3")).is_identity(
+        rewrite_word((1, 2, 3), 3), sampled
+    )
+    report = growth_report(natural, 4, sampled)
+    assert [(r.codimension, r.colength) for r in report.rows] == [
+        (1, 1), (1, 1), (2, 1), (5, 2)
+    ]
     # c_6 = 0 in both, so every alternation of every word is checked
     for name in ("heisenberg3", "abelian3"):
         assert CodimEngine(catalog_algebra(name)).capelli_holds(2, 6)

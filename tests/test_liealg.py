@@ -367,6 +367,27 @@ def test_json_rejects_malformed_input():
         from_json_dict({"dim": 2, "brackets": {"1,2": [["1", 5]]}})
     with pytest.raises(MalformedInputError):
         from_json_dict({"dim": 2, "basis": ["only-one"]})
+    # wrong JSON types, which used to raise other errors or be coerced:
+    # a bool or non-integral dim, a dim below 1 (a zero algebra has no
+    # basis tuple to sample), a non-object brackets, a non-list bracket
+    # value and a basis index that is not an int
+    bracket = {"1,2": [["1", 2]]}
+    for data in (
+        {"dim": True, "basis": ["e"]},
+        {"dim": 1.5},
+        {"dim": 2.0, "brackets": bracket},
+        {"dim": -1},
+        {"dim": 0},
+        {"dim": 2, "brackets": [1]},
+        {"dim": 2, "brackets": {"1,2": 5}},
+        {"dim": 2, "brackets": {"1,2": [5]}},
+        {"dim": 2, "brackets": {"1,2": [["1", "x"]]}},
+        {"dim": 2, "brackets": {"1,2": [["1", 1.5]]}},
+        {"dim": 2, "brackets": {"1,2": [["1", True]]}},
+        {"dim": 2, "brackets": {"1,2": [[True, 2]]}},
+    ):
+        with pytest.raises(MalformedInputError):
+            from_json_dict(data)
 
 
 def test_catalog_names_and_parametric_abelian():

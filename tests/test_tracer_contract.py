@@ -18,6 +18,7 @@ from picodim import cli
 
 t = tracer.Tracer()
 tracer.install(t)
+tuples = {}  # evaluation.tuples after each command
 for argv in (["codim", "sl2", "--n", "3", "--no-cache"],
              ["growth", "sl2", "--max-n", "3", "--mode", "sampled",
               "--samples", "20", "--no-cache"],
@@ -27,7 +28,8 @@ for argv in (["codim", "sl2", "--n", "3", "--no-cache"],
               "--no-cache"],
              ["find-witness", "sl2", "--max-n", "4", "--no-cache"]):
     assert cli.run(argv, stdout=io.StringIO()) == 0, argv
-print(json.dumps(sorted(t.report()["spans"])))
+    tuples[argv[0]] = t.report()["counts"].get("evaluation.tuples", 0)
+print(json.dumps({"spans": sorted(t.report()["spans"]), "tuples": tuples}))
 """
 
 
@@ -39,7 +41,11 @@ def test_tracer_installs_and_traces_every_layer():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    spans = set(json.loads(proc.stdout))
+    report = json.loads(proc.stdout)
+    # exact codim runs first and evaluates no basis tuple; sampled growth
+    # must reach the kernel through `_tuple_columns`
+    assert report["tuples"]["codim"] == 0 and report["tuples"]["growth"] > 0
+    spans = set(report["spans"])
     assert {
         "cli.run",
         "evaluation.codimension",
