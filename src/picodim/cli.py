@@ -56,8 +56,9 @@ ALGORITHMS = {
 }
 
 
-# the commands that read --mode; the others never sample
-SAMPLING_COMMANDS = {"codim", "cocharacter", "capelli", "verify-upper", "growth"}
+# the commands that read --mode, where a sample is a cheaper lower bound
+# or refutation; the others never sample
+SAMPLING_COMMANDS = {"codim", "capelli", "verify-upper"}
 
 
 @dataclass(frozen=True)
@@ -266,9 +267,18 @@ def _global_options() -> argparse.ArgumentParser:
     return common
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors, so `run` reports them as malformed input;
+    subparsers are built from the same class."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        raise MalformedInputError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = _global_options()
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="picodim",
         parents=[common],
         description=(
@@ -325,8 +335,11 @@ def run(argv=None, stdout=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
+    except SystemExit as exc:  # --help
         return 2 if exc.code not in (0, None) else 0
+    except MalformedInputError as exc:
+        _emit_error(stdout, "malformed-input", exc)
+        return 2
     for attr, default in GLOBAL_DEFAULTS.items():
         if not hasattr(args, attr):
             setattr(args, attr, default)
@@ -369,8 +382,9 @@ def _emit_error(stream, kind: str, exc: Exception) -> None:
 def _cached(store, config: RunConfig, algebra: LieAlgebra, operation: str,
             n: int, compute) -> dict:
     """Exact results are cached under (algebra, operation, n): the seed
-    cannot change them.  Sampled results are never cached."""
-    if store is None or config.mode != "exact":
+    cannot change them.  Sampled results are never cached; a command
+    that never samples is exact under any --mode."""
+    if store is None or config.provenance(operation)["mode"] != "exact":
         return compute()
     key = ResultStore.key(algebra, operation, {"n": n})
     cached = store.get(key)
@@ -426,7 +440,7 @@ def _dispatch(args, config: RunConfig) -> dict:
 
     if args.command == "cocharacter":
         return _cached(store, config, algebra, "cocharacter", args.n, lambda:
-                       _cocharacter_payload(engine.cocharacter(args.n, mode)))
+                       _cocharacter_payload(engine.cocharacter(args.n)))
 
     if args.command == "capelli":
         holds = engine.capelli_holds(args.t, args.n, mode)
@@ -474,7 +488,7 @@ def _dispatch(args, config: RunConfig) -> dict:
         }
 
     if args.command == "growth":
-        report = growth_report(algebra, args.max_n, mode, engine=engine)
+        report = growth_report(algebra, args.max_n, engine=engine)
         return {
             "rows": [
                 {

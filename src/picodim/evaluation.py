@@ -15,17 +15,17 @@ Ranks come from `_ColumnSpace`, fraction-free over the integers.  Exact
 work is budgeted in generic evaluation points, sum over the contents mu
 of prod_i C(dim L + mu_i - 1, mu_i), which is dim(L)^n at mu = 1^n.
 
-Three methods choose between exact and sampled mode: `CodimEngine.columns`
+Two methods choose between exact and sampled mode: `CodimEngine.columns`
 (the content-1^n columns, or those of `count` random basis tuples until
-the rank reaches (n-1)!), which `is_identity` pairs against,
-`CodimEngine.cocharacter` (multihomogeneous ranks, or Young symmetrizer
-images paired with sampled columns) and `_AlternatedChecker.scan` (every
-alternation, or a sample).  For `capelli_holds`, `exponent.verify_upper`
-and `exponent.find_lower_witness` the scan evaluates alternations on
+the rank reaches (n-1)!), which `is_identity` pairs against, and
+`_AlternatedChecker.scan` (every alternation, or a sample).
+`CodimEngine.cocharacter` has no sampled mode, so m_lambda and l_n are
+always exact.  For `capelli_holds`, `exponent.verify_upper` and
+`exponent.find_lower_witness` the scan evaluates alternations on
 strictly increasing basis assignments of each set, summing every set
 permutation in one signed pass over the word with the kernel's integer
 brackets.  Exact verdicts are proofs; sampled mode only refutes, so its
-c_n and m_lambda are lower bounds.
+c_n is a lower bound.
 """
 
 from __future__ import annotations
@@ -49,15 +49,7 @@ from .freelie import (
 )
 from .liealg import LieAlgebra
 from .linalg import Vector, is_zero_vec, vec_add, vec_scale, zero_vec
-from .symgroup import (
-    Partition,
-    YoungTableau,
-    act,
-    hook_dim,
-    iter_partitions,
-    partitions,
-    symmetrizer,
-)
+from .symgroup import Partition, hook_dim, iter_partitions, partitions
 
 DEFAULT_TUPLE_BUDGET = 500_000
 
@@ -129,19 +121,18 @@ def evaluate(
 
 @dataclass
 class _ColumnSpace:
-    """Incremental echelon over column vectors; keeps one original column
-    per pivot so the kept set spans the full column space.
+    """Incremental echelon over integer column vectors; keeps one
+    original column per pivot so the kept set spans the full column
+    space.
 
-    Elimination is fraction-free: a column is scaled to integers by the
-    lcm of its denominators, reduced with integer pivots
-    (w <- b*w - a*r) and stored as a primitive pivot."""
+    Elimination is fraction-free: a column is reduced with integer
+    pivots (w <- b*w - a*r) and stored as a primitive pivot."""
 
     pivots: list = field(default_factory=list)  # (lead index, primitive int column)
     kept: list = field(default_factory=list)  # original independent columns
 
     def insert(self, col) -> bool:
-        scale = lcm(*(x.denominator for x in col))
-        w = [x.numerator * (scale // x.denominator) for x in col]
+        w = list(col)
         for lead, reduced in self.pivots:
             a = w[lead]
             if a:
@@ -412,18 +403,13 @@ class CodimEngine:
         space = self.columns(f.degree, mode)
         return all(x == 0 for x in self.pairing(coeffs, space))
 
-    def cocharacter(self, n: int, mode: Mode = ExactMode()) -> CocharacterTable:
-        """m_lambda for every partition of n.  Exact mode reads them off
-        multihomogeneous ranks: m_lambda = sum over sigma in S_m of
+    def cocharacter(self, n: int) -> CocharacterTable:
+        """m_lambda for every partition of n, read off multihomogeneous
+        ranks: m_lambda = sum over sigma in S_m of
         sgn(sigma) * h(lambda + delta - sigma(delta)), m = height(lambda),
-        and m_lambda = 0 when m > dim L.  Sampled mode pairs Young
-        symmetrizer images with sampled columns; a rank over sampled
-        columns bounds each h(mu) from below, but an alternating sum of
-        such bounds bounds nothing, so the sampled path stays separate."""
-        if isinstance(mode, SampledMode):
-            return self._sampled_cocharacter(n, mode)
-        if not isinstance(mode, ExactMode):
-            raise MalformedInputError(f"unknown mode {mode!r}")
+        and m_lambda = 0 when m > dim L.  There is no sampled mode: a
+        rank over sampled columns bounds each h(mu) from below, but an
+        alternating sum of such bounds bounds nothing."""
         kernel = self._content_ranks
         # the contents of the shapes of height <= dim L (lambda itself
         # among them) are the partitions of n into at most dim L parts;
@@ -438,28 +424,6 @@ class CodimEngine:
                 m = sum(sign * kernel.rank(mu)
                         for sign, mu in _alternating_contents(shape.parts))
             rows.append(CocharacterRow(shape, m, hook_dim(shape)))
-        return CocharacterTable(n, tuple(rows))
-
-    def _sampled_cocharacter(self, n: int, mode: SampledMode) -> CocharacterTable:
-        space = self.columns(n, mode)
-        words = basis_Pn(n)
-        rows = []
-        for shape in partitions(n):
-            d = hook_dim(shape)
-            # alternating more than dim L basis slots repeats one
-            if shape.height > self.algebra.dim or space.rank == 0:
-                rows.append(CocharacterRow(shape, 0, d))
-                continue
-            tableau = YoungTableau.row_reading(shape)
-            e = symmetrizer(tableau)
-            image = _ColumnSpace()
-            for w in words:
-                g = act(e, MultilinearPolynomial(n, {w: Fraction(1)}))
-                paired = self.pairing(g.coefficient_vector(words), space)
-                image.insert(paired)
-                if image.rank == min(space.rank, len(words)):
-                    break
-            rows.append(CocharacterRow(shape, image.rank, d))
         return CocharacterTable(n, tuple(rows))
 
     def capelli_holds(self, t: int, n: int, mode: Mode = ExactMode()) -> bool:

@@ -301,17 +301,19 @@ class GrowthReport:
 def growth_report(
     algebra: LieAlgebra,
     n_max: int,
-    mode: Mode = ExactMode(),
     engine: CodimEngine | None = None,
 ) -> GrowthReport:
+    """c_n, l_n and c_n^(1/n) for n = 1..n_max, each row read off one
+    exact cocharacter table."""
     from .errors import HypothesisFailure
 
     engine = engine or CodimEngine(algebra)
     rows = []
     for n in range(1, n_max + 1):
-        c = engine.codimension(n, mode)
-        colength = engine.cocharacter(n, mode).colength if c else 0
-        rows.append(GrowthRow(n, c, colength, float(c) ** (1.0 / n) if c else 0.0))
+        table = engine.cocharacter(n)
+        c = table.codimension_sum
+        root = float(c) ** (1.0 / n) if c else 0.0
+        rows.append(GrowthRow(n, c, table.colength, root))
     try:
         d = pi_exponent_candidate(algebra).d
     except HypothesisFailure:

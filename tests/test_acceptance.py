@@ -107,7 +107,7 @@ def test_criterion_3_e4_cross_check(engine_for):
     for name in names:
         engine = engine_for(name)
         for n in range(1, 6):
-            table = engine.cocharacter(n, ExactMode())
+            table = engine.cocharacter(n)
             # exact codimension is the cocharacter's own sum, so compare
             # with the rank of the multilinear (mu = 1^n) columns
             c = engine.columns(n, ExactMode()).rank

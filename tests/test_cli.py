@@ -244,9 +244,14 @@ def test_out_into_missing_directory_is_malformed_input(tmp_path):
 
 
 def test_removed_options_are_usage_errors():
-    for argv in (("--mode", "modular"), ("--prime-bits", "31"), ("--jobs", "2")):
-        code, _ = invoke("codim", "sl2", "--n", "3", "--no-cache", *argv)
-        assert code == 2
+    # usage errors print JSON too; the last case leaves out the required --n
+    for argv in (("--n", "3", "--mode", "modular"), ("--n", "3", "--prime-bits", "31"),
+                 ("--n", "3", "--jobs", "2"), ()):
+        code, payload = invoke_json("codim", "sl2", "--format", "json",
+                                    "--no-cache", *argv)
+        assert code == 2, argv
+        assert payload["error"] == "malformed-input", argv
+    assert invoke("codim", "--help")[0] == 0
 
 
 def _stale_key(operation: str, **fields) -> str:
@@ -294,13 +299,37 @@ def test_sampled_provenance_names_no_exact_algorithm():
 
 def test_commands_that_never_sample_report_exact_mode():
     for argv in (("catalog",), ("validate", "sl2"), ("analyze", "sl2"),
-                 ("exponent", "sl2"), ("find-witness", "sl2", "--max-n", "4")):
+                 ("exponent", "sl2"), ("find-witness", "sl2", "--max-n", "4"),
+                 ("cocharacter", "sl2", "--n", "4"), ("growth", "sl2", "--max-n", "4")):
         code, payload = invoke_json(*argv, "--mode", "sampled", "--no-cache")
         assert code == 0, argv
         assert payload["provenance"]["mode"] == "exact", argv
     code, payload = invoke_json("codim", "sl2", "--n", "3", "--mode", "sampled",
                                 "--no-cache")
     assert payload["provenance"]["mode"] == "sampled"
+
+
+def test_sampled_mode_gives_exact_cocharacter_and_growth(tmp_path):
+    # m_lambda and l_n have no sampled lower bound: --mode sampled runs
+    # the exact kernel, labelled, cached and budgeted as exact
+    cache = tmp_path / "cache.jsonl"
+    argv = ("cocharacter", "sl2_natural", "--n", "5")
+    code, exact = invoke_json(*argv, "--no-cache")
+    assert code == 0
+    code, fresh = invoke_json(*argv, "--mode", "sampled", "--cache", str(cache))
+    assert code == 0 and "cache" not in fresh
+    assert fresh == exact
+    assert fresh["provenance"]["algorithm"] == "multihomogeneous-ranks"
+    code, replay = invoke_json(*argv, "--mode", "sampled", "--cache", str(cache))
+    assert code == 0 and replay.pop("cache") == "hit"
+    assert replay == exact
+    code, payload = invoke_json("cocharacter", "sl2_adjoint", "--n", "7",
+                                "--mode", "sampled", "--samples", "10",
+                                "--no-cache")
+    assert code == 4 and payload["error"] == "budget-exceeded"
+    assert "540618" in payload["message"]
+    growth = ("growth", "sl2", "--max-n", "5", "--no-cache")
+    assert invoke(*growth, "--mode", "sampled") == invoke(*growth)
 
 
 _scalar = (st.none() | st.booleans() | st.integers(-2, 5) | st.text(max_size=3)
@@ -333,7 +362,7 @@ _options = {  # per command: (option, value) pairs it may get
     "find-witness": [("--r", _small), ("--k", _small), ("--max-n", _small)],
     "growth": [("--max-n", _small)],
 }
-_required = {"--n", "--t", "--max-n"}  # always passed, so n stays <= 5
+_required = {"--n", "--t", "--max-n"}  # passed unless omitted, so n stays <= 5
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None,
@@ -354,8 +383,14 @@ def test_cli_fuzz_exits_cleanly_with_json(tmp_path, data, algebra):
         source = data.draw(st.just(str(path)) | st.sampled_from(
             ["sl2", "gl2", "heisenberg3", "solvable2", "abelian(2)"]
         ))
+        # now and then leave out a required option: a usage error
+        omit = data.draw(st.sampled_from(
+            [None] * 4 + [o for o, _ in _options[command] if o in _required]
+        ))
         argv = []
         for option, values in _options[command]:
+            if option == omit:
+                continue
             if option in _required or data.draw(st.booleans()):
                 argv += [option, data.draw(values)]
         argv += ["--mode", data.draw(st.sampled_from(["exact", "sampled"])),

@@ -280,27 +280,22 @@ def test_growth_report_sl2(engine_for):
     assert report.d == 3
 
 
-def test_sampled_growth_builds_each_column_space_once(monkeypatch):
-    built = []
-    sampled_columns = CodimEngine.sampled_columns
+def test_growth_report_builds_no_column_space(monkeypatch):
+    # every row is read off the exact cocharacter's multihomogeneous ranks
+    def forbidden(*args, **kwargs):
+        raise AssertionError("growth built a column space")
 
-    def counting(engine, n, mode):
-        built.append(n)
-        return sampled_columns(engine, n, mode)
-
-    monkeypatch.setattr(CodimEngine, "sampled_columns", counting)
-    report = growth_report(catalog_algebra("sl2_natural"), 5,
-                           SampledMode(count=50, seed=0))
-    assert built == [1, 2, 3, 4, 5]
-    assert report.rows[-1].colength  # the cocharacter reused the columns
+    monkeypatch.setattr(CodimEngine, "columns", forbidden)
+    report = growth_report(catalog_algebra("sl2_natural"), 5)
+    assert [row.codimension for row in report.rows] == [1, 1, 2, 6, 24]
 
 
-def test_sampled_growth_does_not_stop_on_a_useless_tuple():
+def test_sampled_codimension_does_not_stop_on_a_useless_tuple(engine_for):
     # a repeated-index tuple adds no column; at n = 2 and 3 the run must
     # go on past one or two of them to reach the exact c_2 and c_3
-    report = growth_report(catalog_algebra("sl2_natural"), 5,
-                           SampledMode(count=50, seed=0))
-    assert [row.codimension for row in report.rows[:3]] == [1, 1, 2]
+    engine = engine_for("sl2_natural")
+    mode = SampledMode(count=50, seed=0)
+    assert [engine.codimension(n, mode) for n in range(1, 4)] == [1, 1, 2]
 
 
 def test_growth_report_d_is_none_when_hypotheses_fail():
