@@ -332,20 +332,12 @@ def _default_cache_path() -> Path:
 
 def run(argv=None, stdout=None) -> int:
     stdout = stdout or sys.stdout
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # --help
-        return 2 if exc.code not in (0, None) else 0
-    except MalformedInputError as exc:
-        _emit_error(stdout, "malformed-input", exc)
-        return 2
-    for attr, default in GLOBAL_DEFAULTS.items():
-        if not hasattr(args, attr):
-            setattr(args, attr, default)
     out = stdout
-    close_out = False
     try:
+        args = build_parser().parse_args(argv)
+        for attr, default in GLOBAL_DEFAULTS.items():
+            if not hasattr(args, attr):
+                setattr(args, attr, default)
         config = RunConfig(args.mode, args.seed, args.budget, args.samples, args.format)
         if args.out:
             try:
@@ -354,45 +346,40 @@ def run(argv=None, stdout=None) -> int:
                 raise MalformedInputError(
                     f"cannot write {args.out}: {exc.strerror}"
                 ) from exc
-            close_out = True
         payload = _dispatch(args, config)
         _emit(payload, config, out, args.command)
         return 0
-    except MalformedInputError as exc:
-        _emit_error(stdout, "malformed-input", exc)
-        return 2
-    except HypothesisFailure as exc:
-        _emit_error(stdout, "hypothesis-failure", exc)
-        return 3
-    except BudgetExceededError as exc:
-        _emit_error(stdout, "budget-exceeded", exc)
-        return 4
-    except InternalInvariantError as exc:
-        _emit_error(stdout, "internal-invariant-violation", exc)
-        return 5
+    except SystemExit as exc:  # --help
+        return 2 if exc.code not in (0, None) else 0
+    except (MalformedInputError, HypothesisFailure, BudgetExceededError,
+            InternalInvariantError) as exc:
+        stdout.write(json.dumps({"error": exc.kind, "message": str(exc)}) + "\n")
+        return exc.exit_code
     finally:
-        if close_out:
+        if out is not stdout:
             out.close()
 
 
-def _emit_error(stream, kind: str, exc: Exception) -> None:
-    stream.write(json.dumps({"error": kind, "message": str(exc)}) + "\n")
-
-
-def _cached(store, config: RunConfig, algebra: LieAlgebra, operation: str,
-            n: int, compute) -> dict:
+def _cached(args, config: RunConfig, algebra: LieAlgebra, operation: str,
+            compute) -> dict:
     """Exact results are cached under (algebra, operation, n): the seed
     cannot change them.  Sampled results are never cached; a command
-    that never samples is exact under any --mode."""
-    if store is None or config.provenance(operation)["mode"] != "exact":
+    that never samples is exact under any --mode.  The cache file is
+    opened only here, and an OSError on it is malformed input."""
+    if args.no_cache or config.provenance(operation)["mode"] != "exact":
         return compute()
-    key = ResultStore.key(algebra, operation, {"n": n})
-    cached = store.get(key)
-    if cached is not None:
-        return {**cached, "cache": "hit"}
-    result = compute()
-    store.put(key, result)
-    return result
+    path = Path(args.cache) if args.cache else _default_cache_path()
+    key = ResultStore.key(algebra, operation, {"n": args.n})
+    try:
+        store = ResultStore(path)
+        cached = store.get(key)
+        if cached is not None:
+            return {**cached, "cache": "hit"}
+        result = compute()  # does no I/O, so each OSError is the store's
+        store.put(key, result)
+        return result
+    except OSError as exc:
+        raise MalformedInputError(f"cannot use cache {path}: {exc.strerror}") from exc
 
 
 def _dispatch(args, config: RunConfig) -> dict:
@@ -405,9 +392,6 @@ def _dispatch(args, config: RunConfig) -> dict:
         }
 
     algebra = load_algebra(args.algebra)
-    store = None
-    if not args.no_cache:
-        store = ResultStore(Path(args.cache) if args.cache else _default_cache_path())
 
     if args.command == "validate":
         return {"valid": True, "algebra": to_json_dict(algebra)}
@@ -432,14 +416,14 @@ def _dispatch(args, config: RunConfig) -> dict:
     mode = config.eval_mode()
 
     if args.command == "codim":
-        return _cached(store, config, algebra, "codim", args.n, lambda: {
+        return _cached(args, config, algebra, "codim", lambda: {
             "n": args.n,
             "codimension": engine.codimension(args.n, mode),
             "certainty": "exact" if config.mode == "exact" else "lower-bound",
         })
 
     if args.command == "cocharacter":
-        return _cached(store, config, algebra, "cocharacter", args.n, lambda:
+        return _cached(args, config, algebra, "cocharacter", lambda:
                        _cocharacter_payload(engine.cocharacter(args.n)))
 
     if args.command == "capelli":

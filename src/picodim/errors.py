@@ -1,4 +1,4 @@
-"""Shared exception types with CLI exit codes attached."""
+"""Shared exception types with the CLI's error kind and exit code attached."""
 
 from math import log10
 
@@ -6,6 +6,7 @@ from math import log10
 class MalformedInputError(ValueError):
     """Input data violates a shape or schema precondition."""
 
+    kind = "malformed-input"
     exit_code = 2
 
 
@@ -23,6 +24,7 @@ class JacobiError(MalformedInputError):
 class HypothesisFailure(Exception):
     """The algebra is not nilpotent-by-semisimple, so d(L) is undefined here."""
 
+    kind = "hypothesis-failure"
     exit_code = 3
 
 
@@ -41,6 +43,7 @@ class NotSplitError(HypothesisFailure):
 class BudgetExceededError(Exception):
     """An exhaustive computation would exceed the configured budget."""
 
+    kind = "budget-exceeded"
     exit_code = 4
 
     def __init__(self, message, required=None):
@@ -65,4 +68,5 @@ def count_text(count: int) -> str:
 class InternalInvariantError(AssertionError):
     """A mathematically guaranteed invariant failed; indicates a bug."""
 
+    kind = "internal-invariant-violation"
     exit_code = 5

@@ -7,18 +7,17 @@ ranks (`_ContentRanks`): S_n-cocharacters are GL_m-characters of the
 relatively free algebra F_m(L) (Berele 1982, Drensky 1984), so m_lambda
 is an alternating sum of the dimensions h(mu) of its content-mu parts,
 each the rank of right-normed words evaluated at generic elements, and
-c_n = sum m_lambda d_lambda.  The content-1^n matrix is the multilinear
-one (rows: the basis words of P_n; columns: basis tuple and coordinate),
-so a polynomial is an identity iff it pairs to zero with every kept
-column; sampled mode walks the same kernel at random basis tuples.
-Ranks come from `_ColumnSpace`, fraction-free over the integers.  Exact
-work is budgeted in generic evaluation points, sum over the contents mu
-of prod_i C(dim L + mu_i - 1, mu_i), which is dim(L)^n at mu = 1^n.
+c_n = sum m_lambda d_lambda.  Ranks come from `_ColumnSpace`,
+fraction-free over the integers.  Exact work is budgeted in generic
+evaluation points, sum over the contents mu of
+prod_i C(dim L + mu_i - 1, mu_i), which is dim(L)^n at mu = 1^n.
 
-Two methods choose between exact and sampled mode: `CodimEngine.columns`
-(the content-1^n columns, or those of `count` random basis tuples until
-the rank reaches (n-1)!), which `is_identity` pairs against, and
-`_AlternatedChecker.scan` (every alternation, or a sample).
+Decisions evaluate and never eliminate: `CodimEngine.is_identity`
+evaluates f through the kernel's content-1^n words, at generic elements
+in exact mode (f is an identity iff that value is zero, char 0) and at
+`count` random basis tuples in sampled mode, which are also the tuples
+whose columns `CodimEngine.sampled_columns` ranks for a sampled c_n.
+`_AlternatedChecker.scan` checks every alternation, or a sample.
 `CodimEngine.cocharacter` has no sampled mode, so m_lambda and l_n are
 always exact.  For `capelli_holds`, `exponent.verify_upper` and
 `exponent.find_lower_witness` the scan evaluates alternations on
@@ -121,15 +120,13 @@ def evaluate(
 
 @dataclass
 class _ColumnSpace:
-    """Incremental echelon over integer column vectors; keeps one
-    original column per pivot so the kept set spans the full column
-    space.
+    """Incremental echelon over integer column vectors; the pivots span
+    the inserted columns, and the rank is their number.
 
     Elimination is fraction-free: a column is reduced with integer
     pivots (w <- b*w - a*r) and stored as a primitive pivot."""
 
     pivots: list = field(default_factory=list)  # (lead index, primitive int column)
-    kept: list = field(default_factory=list)  # original independent columns
 
     def insert(self, col) -> bool:
         w = list(col)
@@ -144,13 +141,12 @@ class _ColumnSpace:
             if x:
                 g = gcd(*w)
                 self.pivots.append((lead, [y // g for y in w]))
-                self.kept.append(col)
                 return True
         return False
 
     @property
     def rank(self) -> int:
-        return len(self.kept)
+        return len(self.pivots)
 
 
 class _ContentRanks:
@@ -200,15 +196,12 @@ class _ContentRanks:
             h = self._ranks[mu] = self.space(mu).rank
         return h
 
-    def space(self, mu: tuple[int, ...], words: list[Word] | None = None) -> _ColumnSpace:
-        """Column space of the content-mu words, with a row for each of
-        `words` (default: the nonzero words); it stops once the rank
-        reaches the number of nonzero words."""
+    def space(self, mu: tuple[int, ...]) -> _ColumnSpace:
+        """Column space of the content-mu words, a row for each nonzero
+        word; it stops once the rank reaches the number of rows."""
         values = self._values(mu)
-        if words is None:
-            words = list(values)
         nonzero = len(values)
-        columns = _transpose(values, words)
+        columns = _transpose(values, list(values))
         del values  # the columns hold every entry; free the row dicts
         space = _ColumnSpace()
         seen: set = set()
@@ -309,14 +302,15 @@ class CocharacterTable:
 
 
 class CodimEngine:
-    """Per-algebra engine; keeps its multihomogeneous ranks and column
-    selections across calls at the same degree."""
+    """Per-algebra engine; keeps its multihomogeneous ranks across calls.
+
+    Ranks (c_n, m_lambda) eliminate columns in `_ColumnSpace`; identity
+    decisions only evaluate, so they build no column space."""
 
     def __init__(self, algebra: LieAlgebra, tuple_budget: int = DEFAULT_TUPLE_BUDGET):
         self.algebra = algebra
         self.tuple_budget = tuple_budget
         self._content_ranks = _ContentRanks(algebra)
-        self._columns: dict[tuple[int, Mode], _ColumnSpace] = {}
 
     # -- column generation ------------------------------------------------
 
@@ -337,39 +331,25 @@ class CodimEngine:
                 required=required,
             )
 
-    def columns(self, n: int, mode: Mode = ExactMode()) -> _ColumnSpace:
-        """Maximal independent column set of degree n, cached per (n, mode).
-
-        Exact mode spans the whole column space; sampled mode spans part
-        of it, so its rank is a lower bound on c_n."""
-        space = self._columns.get((n, mode))
-        if space is None:
-            if isinstance(mode, ExactMode):
-                space = self.exhaustive_columns(n)
-            elif isinstance(mode, SampledMode):
-                space = self.sampled_columns(n, mode)
-            else:
-                raise MalformedInputError(f"unknown mode {mode!r}")
-            self._columns[(n, mode)] = space
-        return space
+    def _sample_points(self, n: int, mode: SampledMode) -> Iterator[tuple[int, ...]]:
+        """The `mode.count` random basis tuples of sampled mode at degree n."""
+        rng, p = random.Random(mode.seed), self.algebra.dim
+        return (tuple(rng.randrange(p) for _ in range(n)) for _ in range(mode.count))
 
     def exhaustive_columns(self, n: int) -> _ColumnSpace:
-        """The content-1^n columns, one for each (basis tuple, coordinate),
-        with rows in `basis_Pn(n)` order."""
+        """The content-1^n columns, one for each (basis tuple, coordinate);
+        their rank is c_n."""
         mu = (1,) * n
         self._require_budget([mu])
-        return self._content_ranks.space(mu, basis_Pn(n))
+        return self._content_ranks.space(mu)
 
     def sampled_columns(self, n: int, mode: SampledMode) -> _ColumnSpace:
-        """Columns of `mode.count` random basis tuples, until the rank
-        reaches (n-1)!."""
-        rng = random.Random(mode.seed)
-        p = self.algebra.dim
+        """Columns of the sampled basis tuples, rows in `basis_Pn(n)`
+        order, until the rank reaches (n-1)!."""
         words = basis_Pn(n)
         space = _ColumnSpace()
         seen: set = set()
-        for _ in range(mode.count):
-            tup = tuple(rng.randrange(p) for _ in range(n))
+        for tup in self._sample_points(n, mode):
             for col in self._tuple_columns(words, tup):
                 if col in seen:
                     continue
@@ -386,22 +366,43 @@ class CodimEngine:
         d_lambda; sampled mode takes the rank of sampled columns."""
         if isinstance(mode, ExactMode):
             return self.cocharacter(n).codimension_sum
-        return self.columns(n, mode).rank
+        if isinstance(mode, SampledMode):
+            return self.sampled_columns(n, mode).rank
+        raise MalformedInputError(f"unknown mode {mode!r}")
 
-    def pairing(self, coeffs: tuple[Fraction, ...], space: _ColumnSpace):
-        return tuple(
-            sum((c * x for c, x in zip(coeffs, col) if c != 0), Fraction(0))
-            for col in space.kept
-        )
+    def pairing(self, f: MultilinearPolynomial,
+                values: dict[Word, dict[int, int]]) -> dict[int, int]:
+        """f's value, sum over words w of f_w * value_w, for word values
+        from `_ContentRanks._values`, as a sparse dict without zeros.
+        f is scaled by the lcm of its denominators, which changes no
+        zero, so the value is over the integers."""
+        den = lcm(*(c.denominator for c in f.terms.values()))
+        out: dict[int, int] = {}
+        for w, c in f.terms.items():
+            value = values.get(w)
+            if value:
+                c = c.numerator * (den // c.denominator)
+                for key, x in value.items():
+                    out[key] = out.get(key, 0) + c * x
+        return {key: x for key, x in out.items() if x}
 
     def is_identity(self, f: MultilinearPolynomial, mode: Mode = ExactMode()) -> bool:
-        """Exhaustive mode is sound and complete; sampled mode can only
-        refute, so True means "not refuted"."""
+        """Evaluates f at one generic point in exact mode, which is sound
+        and complete; sampled mode evaluates f at the sampled basis tuples
+        and stops at the first nonzero value, so True means "not
+        refuted"."""
         if f.is_zero():
             return True
-        coeffs = f.coefficient_vector(basis_Pn(f.degree))
-        space = self.columns(f.degree, mode)
-        return all(x == 0 for x in self.pairing(coeffs, space))
+        mu = (1,) * f.degree
+        if isinstance(mode, ExactMode):
+            self._require_budget([mu])
+            points = [None]
+        elif isinstance(mode, SampledMode):
+            points = self._sample_points(f.degree, mode)
+        else:
+            raise MalformedInputError(f"unknown mode {mode!r}")
+        kernel = self._content_ranks
+        return not any(self.pairing(f, kernel._values(mu, point)) for point in points)
 
     def cocharacter(self, n: int) -> CocharacterTable:
         """m_lambda for every partition of n, read off multihomogeneous

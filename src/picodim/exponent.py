@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import MalformedInputError
+from .errors import HypothesisFailure, MalformedInputError
 from .evaluation import CodimEngine, ExactMode, Mode, _AlternatedChecker
 from .freelie import (
     AltSpec,
@@ -260,7 +260,6 @@ def find_lower_witness(
     k: int,
     n_max: int,
     engine: CodimEngine | None = None,
-    n_min: int | None = None,
 ) -> LowerWitness | None:
     """Search for a non-identity alternating on k disjoint r-sets.
 
@@ -271,7 +270,7 @@ def find_lower_witness(
         raise MalformedInputError("need r >= 1")
     engine = engine or CodimEngine(algebra)
     checker = _AlternatedChecker(engine)
-    for n in range(n_min if n_min is not None else r * k, n_max + 1):
+    for n in range(r * k, n_max + 1):
         spec = QPolySpec(r, k, n)
         _, _, hit = checker.scan(n, r, k, ExactMode())
         if hit is not None:
@@ -305,8 +304,6 @@ def growth_report(
 ) -> GrowthReport:
     """c_n, l_n and c_n^(1/n) for n = 1..n_max, each row read off one
     exact cocharacter table."""
-    from .errors import HypothesisFailure
-
     engine = engine or CodimEngine(algebra)
     rows = []
     for n in range(1, n_max + 1):

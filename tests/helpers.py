@@ -9,8 +9,9 @@ its signed pass replaced, the random centroid
 element that the joint-eigenspace split replaced, the multilinear
 tuple sweep, Young symmetrizer loop and Fraction elimination that
 multihomogeneous ranks replaced in exact codimensions and cocharacters,
-and the `Evaluator` word-cache loop that the kernel replaced in sampled
-columns.
+the `Evaluator` word-cache loop that the kernel replaced in sampled
+columns, and the pairing with kept columns that evaluation replaced in
+identity decisions.
 """
 
 from __future__ import annotations
@@ -372,12 +373,23 @@ def multilinear_columns(engine: CodimEngine, n: int) -> _FractionColumns:
 
 def evaluator_sampled_columns(engine: CodimEngine, n: int,
                               mode: SampledMode) -> _FractionColumns:
-    """Oracle for sampled `CodimEngine.columns`: the Fraction columns of
+    """Oracle for `CodimEngine.sampled_columns`: the Fraction columns of
     the same `mode.count` random basis tuples, through the `Evaluator`
     word cache; the engine's columns are these times D^(n-1)."""
     rng, p = random.Random(mode.seed), engine.algebra.dim
     tuples = (tuple(rng.randrange(p) for _ in range(n)) for _ in range(mode.count))
     return _select_columns(engine, n, tuples)
+
+
+def pairing_is_identity(f: MultilinearPolynomial, space: _FractionColumns) -> bool:
+    """Oracle for `CodimEngine.is_identity`: f pairs to zero with every
+    kept column of `multilinear_columns` (exact mode) or
+    `evaluator_sampled_columns` (sampled mode)."""
+    coeffs = f.coefficient_vector(basis_Pn(f.degree))
+    return all(
+        sum((c * x for c, x in zip(coeffs, col) if c != 0), Fraction(0)) == 0
+        for col in space.kept
+    )
 
 
 def symmetrizer_cocharacter(engine: CodimEngine, n: int) -> dict:

@@ -9,7 +9,6 @@ import time
 from math import factorial
 
 from picodim import (
-    ExactMode,
     QPolySpec,
     SampledMode,
     YoungTableau,
@@ -110,7 +109,7 @@ def test_criterion_3_e4_cross_check(engine_for):
             table = engine.cocharacter(n)
             # exact codimension is the cocharacter's own sum, so compare
             # with the rank of the multilinear (mu = 1^n) columns
-            c = engine.columns(n, ExactMode()).rank
+            c = engine.exhaustive_columns(n).rank
             if table.codimension_sum != c:
                 failures.append((name, n, "codimension"))
             if table.colength != sum(r.multiplicity for r in table.rows):

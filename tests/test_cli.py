@@ -5,8 +5,15 @@ import json
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from picodim import __version__, catalog_algebra, to_json_dict
+from picodim import __version__, catalog_algebra, cli, to_json_dict
 from picodim.cli import load_algebra, run
+from picodim.errors import (
+    BudgetExceededError,
+    HypothesisFailure,
+    InternalInvariantError,
+    MalformedInputError,
+    NotSplitError,
+)
 
 from helpers import sl2_over_sqrt2
 
@@ -241,6 +248,38 @@ def test_out_into_missing_directory_is_malformed_input(tmp_path):
     assert code == 2
     assert payload["error"] == "malformed-input"
     assert not target.exists()
+
+
+def test_each_error_class_prints_its_kind_and_exit_code(monkeypatch):
+    # exit 5 has no input that reaches it, so every class is raised here
+    cases = [
+        (MalformedInputError, "malformed-input", 2),
+        (HypothesisFailure, "hypothesis-failure", 3),
+        (NotSplitError, "hypothesis-failure", 3),
+        (BudgetExceededError, "budget-exceeded", 4),
+        (InternalInvariantError, "internal-invariant-violation", 5),
+    ]
+    for cls, kind, code in cases:
+        def fail(args, config):
+            raise cls("boom")
+
+        monkeypatch.setattr(cli, "_dispatch", fail)
+        expected = json.dumps({"error": kind, "message": "boom"}) + "\n"
+        assert invoke("analyze", "sl2", "--no-cache") == (code, expected), cls
+
+
+def test_unusable_cache_is_malformed_input(tmp_path):
+    # the cache is opened only by the commands that read it, and an
+    # OSError on it names the path instead of raising
+    regular = tmp_path / "file"
+    regular.write_text("")
+    for cache in (tmp_path, regular / "x"):
+        code, payload = invoke_json("codim", "sl2", "--n", "3", "--cache", str(cache))
+        assert code == 2, cache
+        assert payload["error"] == "malformed-input", cache
+        assert str(cache) in payload["message"], cache
+    code, payload = invoke_json("analyze", "sl2", "--cache", str(tmp_path))
+    assert code == 0 and payload["dim"] == 3
 
 
 def test_removed_options_are_usage_errors():

@@ -42,6 +42,7 @@ from helpers import (
     evaluator_sampled_columns,
     listed_sample_scan,
     multilinear_columns,
+    pairing_is_identity,
     permutation_find_nonzero,
     random_fraction,
     random_invertible,
@@ -159,17 +160,15 @@ def test_sampled_columns_match_evaluator_oracle(engine_for):
     engines.append(CodimEngine(sl2_over_sqrt2()))
     assert sum(engine._content_ranks.scale > 1 for engine in engines) >= 10
     for engine in engines:
-        scale = engine._content_ranks.scale
         for n in range(1, 6):
             words = basis_Pn(n)
             for mode in (SampledMode(count=2, seed=n), SampledMode(count=20, seed=n)):
-                got = engine.columns(n, mode)
+                got = engine.sampled_columns(n, mode)
                 expected = evaluator_sampled_columns(engine, n, mode)
                 assert got.rank == len(expected.kept), (engine.algebra.labels, n, mode)
-                scaled = [
-                    tuple(Fraction(x, scale ** (n - 1)) for x in col) for col in got.kept
-                ]
-                assert Subspace.from_vectors(len(words), scaled) == (
+                # the pivots span the inserted columns, rows in basis_Pn order
+                pivots = [tuple(col) for _, col in got.pivots]
+                assert Subspace.from_vectors(len(words), pivots) == (
                     Subspace.from_vectors(len(words), expected.kept)
                 ), (engine.algebra.labels, n, mode)
 
@@ -221,34 +220,77 @@ def test_codimension_matches_multilinear_oracle(engine_for):
                 assert engine.codimension(n) == expected, (name, n)
 
 
-def test_exact_is_identity_matches_multilinear_oracle():
-    # random identities (left kernel of the oracle's columns), some with
-    # a random polynomial added, decided by pairing with those columns
-    rng = random.Random(8)
+def _random_polynomials(rng, words, space, count):
+    """`count` polynomials of the words: random identities of the
+    oracle's columns (its left kernel), half of them plus a random
+    polynomial, then one basis word."""
+    identities = kernel(tuple(space.kept), len(words)).basis
+    out = []
+    for _ in range(count):
+        coeffs = [Fraction(0)] * len(words)
+        for v in identities:
+            w = rng.randint(-3, 3)
+            coeffs = [c + w * x for c, x in zip(coeffs, v)]
+        if rng.random() < 0.5:
+            coeffs = [c + random_fraction(rng) for c in coeffs]
+        out.append(MultilinearPolynomial(len(words[0]), dict(zip(words, coeffs))))
+    out.append(MultilinearPolynomial(len(words[0]), {rng.choice(words): Fraction(1)}))
+    return out
+
+
+def test_is_identity_matches_pairing_oracle(engine_for):
+    # evaluation decides as the pairing with kept columns that it
+    # replaced: exact mode against the columns of every basis tuple,
+    # sampled mode against those of the same drawn tuples (several
+    # counts and seeds); every catalog algebra and one base change of
+    # each (D > 1), n <= 5, but exact mode at n = 5 skips the base
+    # changes of the two 6-dim algebras (a minute of oracle each);
     # solvable2's identities are not closed under reversing the prefix
-    # of each basis word, so it also tells a wrong row order apart
-    for name in ("sl2", "gl2", "heisenberg3", "sl2_natural", "solvable2"):
-        engine = CodimEngine(catalog_algebra(name))
-        for n in range(2, 6):
+    # of each basis word, so it also tells a wrong word order apart
+    rng = random.Random(12)
+    engines = []
+    for name in CATALOG_NAMES:
+        algebra = catalog_algebra(name)
+        moved = change_basis(algebra, random_invertible(rng, algebra.dim))
+        engines += [(engine_for(name), 5), (CodimEngine(moved), 5 if algebra.dim < 6 else 4)]
+    verdicts = {ExactMode: [], SampledMode: []}
+    for engine, exact_top in engines:
+        for n in range(1, 6):
             words = basis_Pn(n)
-            kept = multilinear_columns(engine, n).kept
-            # the same column space, rows in basis_Pn order
-            assert Subspace.from_vectors(len(words), engine.columns(n).kept) == (
-                Subspace.from_vectors(len(words), kept)
-            ), (name, n)
-            identities = kernel(tuple(kept), len(words)).basis
-            for _ in range(6):
-                coeffs = [Fraction(0)] * len(words)
-                for v in identities:
-                    w = rng.randint(-3, 3)
-                    coeffs = [c + w * x for c, x in zip(coeffs, v)]
-                if rng.random() < 0.5:
-                    coeffs = [c + random_fraction(rng) for c in coeffs]
-                f = MultilinearPolynomial(n, dict(zip(words, coeffs)))
-                expected = all(
-                    sum(c * x for c, x in zip(coeffs, col)) == 0 for col in kept
-                )
-                assert engine.is_identity(f) == expected, (name, n)
+            modes = [SampledMode(count, seed) for count, seed in ((1, n), (3, n + 1), (20, 0))]
+            spaces = [
+                (mode, evaluator_sampled_columns(engine, n, mode)) for mode in modes
+            ]
+            if n <= exact_top:
+                space = multilinear_columns(engine, n)
+                assert engine.exhaustive_columns(n).rank == len(space.kept)
+                spaces.append((ExactMode(), space))
+            for mode, space in spaces:
+                for f in _random_polynomials(rng, words, space, 3):
+                    got = engine.is_identity(f, mode)
+                    assert got == pairing_is_identity(f, space), (
+                        engine.algebra.labels, n, mode, f
+                    )
+                    verdicts[type(mode)].append(got)
+    for found in verdicts.values():
+        assert found.count(True) > 100 and found.count(False) > 100
+
+
+def test_is_identity_eliminates_nothing(monkeypatch):
+    # a decision evaluates f and never inserts a column
+    def forbidden(*args, **kwargs):
+        raise AssertionError("is_identity eliminated columns")
+
+    monkeypatch.setattr(_ColumnSpace, "insert", forbidden)
+    sl2, natural, heisenberg, abelian = (
+        CodimEngine(catalog_algebra(name))
+        for name in ("sl2", "sl2_natural", "heisenberg3", "abelian3")
+    )
+    for mode in (ExactMode(), SampledMode(count=50, seed=1)):
+        assert not sl2.is_identity(rewrite((1, 2)), mode)
+        assert not natural.is_identity(rewrite(((1, 2), (3, 4))), mode)
+        assert heisenberg.is_identity(rewrite_word((1, 2, 3), 3), mode)
+        assert abelian.is_identity(rewrite((1, 2)), mode)
 
 
 def test_exact_codimension_and_is_identity_skip_the_tuple_sweep(monkeypatch):
@@ -260,7 +302,7 @@ def test_exact_codimension_and_is_identity_skip_the_tuple_sweep(monkeypatch):
     engine = CodimEngine(catalog_algebra("sl2"))
     assert [engine.codimension(n) for n in range(1, 6)] == [1, 1, 2, 6, 14]
     assert not engine.is_identity(rewrite((1, 2)))
-    assert engine.columns(4).rank == 6
+    assert engine.exhaustive_columns(4).rank == 6
     assert CodimEngine(catalog_algebra("heisenberg3")).is_identity(rewrite_word((1, 2, 3), 3))
 
 
@@ -342,7 +384,7 @@ def test_e4_cross_check_small(engine_for):
         engine = engine_for(name)
         for n in range(1, 5):
             table = engine.cocharacter(n)
-            assert table.codimension_sum == engine.columns(n, ExactMode()).rank
+            assert table.codimension_sum == engine.exhaustive_columns(n).rank
             assert table.colength == sum(r.multiplicity for r in table.rows)
 
 
@@ -377,7 +419,8 @@ def test_exact_cocharacter_builds_no_symmetrizer_and_no_columns(monkeypatch):
 
     monkeypatch.setattr(symgroup, "act", forbidden)
     monkeypatch.setattr(symgroup, "symmetrizer", forbidden)
-    monkeypatch.setattr(CodimEngine, "columns", forbidden)
+    monkeypatch.setattr(CodimEngine, "exhaustive_columns", forbidden)
+    monkeypatch.setattr(CodimEngine, "sampled_columns", forbidden)
     table = CodimEngine(catalog_algebra("sl2")).cocharacter(5)
     assert table.codimension_sum == 14
 
@@ -433,9 +476,10 @@ def test_column_space_rank_matches_rank_exact():
         for col in columns:
             space.insert(col)
         assert space.rank == rank_exact(tuple(columns))
-        # kept holds original columns, and they are independent
-        assert all(any(k is c for c in columns) for k in space.kept)
-        assert rank_exact(tuple(space.kept)) == space.rank
+        # the pivots are independent and span the inserted columns
+        pivots = tuple(tuple(col) for _, col in space.pivots)
+        assert rank_exact(pivots) == space.rank
+        assert rank_exact(tuple(columns) + pivots) == space.rank
 
 
 def test_capelli_abelian():

@@ -233,7 +233,7 @@ def test_find_lower_witness_first_witness_is_pinned(engine_for):
 def test_find_lower_witness_abelian_returns_none():
     # at degree 2 everything is an identity of an abelian algebra
     algebra = catalog_algebra("abelian3")
-    assert find_lower_witness(algebra, r=1, k=1, n_max=2, n_min=2) is None
+    assert find_lower_witness(algebra, r=1, k=2, n_max=2) is None
 
 
 def test_find_lower_witness_validation():
@@ -285,7 +285,8 @@ def test_growth_report_builds_no_column_space(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("growth built a column space")
 
-    monkeypatch.setattr(CodimEngine, "columns", forbidden)
+    monkeypatch.setattr(CodimEngine, "exhaustive_columns", forbidden)
+    monkeypatch.setattr(CodimEngine, "sampled_columns", forbidden)
     report = growth_report(catalog_algebra("sl2_natural"), 5)
     assert [row.codimension for row in report.rows] == [1, 1, 2, 6, 24]
 
