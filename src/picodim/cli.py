@@ -7,12 +7,10 @@ Exit codes: 0 success, 2 usage/malformed input, 3 hypothesis failure,
 from __future__ import annotations
 
 import argparse
-import hashlib
 import io
 import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
@@ -61,17 +59,18 @@ ALGORITHMS = {
 SAMPLING_COMMANDS = {"codim", "capelli", "verify-upper"}
 
 
-@dataclass(frozen=True)
 class RunConfig:  # the global options of one run, defaults in GLOBAL_DEFAULTS
-    mode: str  # exact | sampled
-    seed: int
-    tuple_budget: int
-    sample_count: int
-    output_format: str  # json | csv | text
+    __slots__ = ("mode", "seed", "tuple_budget", "sample_count", "output_format")
 
-    def __post_init__(self):
-        if self.tuple_budget < 1 or self.sample_count < 1:
+    def __init__(self, mode: str, seed: int, tuple_budget: int, sample_count: int,
+                 output_format: str):
+        if tuple_budget < 1 or sample_count < 1:
             raise MalformedInputError("budget and samples must be positive")
+        self.mode = mode  # exact | sampled
+        self.seed = seed
+        self.tuple_budget = tuple_budget
+        self.sample_count = sample_count
+        self.output_format = output_format  # json | csv | text
 
     def eval_mode(self):
         if self.mode == "exact":
@@ -100,7 +99,11 @@ class ResultStore:
     def __init__(self, path: Path | None):
         self.path = path
         self._entries: dict[str, dict] = {}
-        if path is not None and path.exists():
+        if path is None:
+            return
+        # an unusable path fails here, before any result is computed
+        path.parent.mkdir(parents=True, exist_ok=True)
+        if path.exists():
             for line in path.read_text(errors="replace").splitlines():
                 try:
                     entry = json.loads(line)
@@ -111,6 +114,8 @@ class ResultStore:
 
     @staticmethod
     def key(algebra: LieAlgebra, operation: str, params: dict) -> str:
+        import hashlib  # loads OpenSSL; only the cached commands pay for it
+
         payload = json.dumps(
             {
                 "algebra": to_json_dict(algebra),
@@ -130,7 +135,6 @@ class ResultStore:
     def put(self, key: str, result) -> None:
         self._entries[key] = result
         if self.path is not None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
             with self.path.open("a") as fh:
                 fh.write(
                     json.dumps({"v": SCHEMA_VERSION, "key": key, "result": result})

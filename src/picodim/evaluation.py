@@ -32,10 +32,9 @@ from __future__ import annotations
 import itertools
 import random
 import sys
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from math import comb, factorial, gcd, lcm
-from typing import Iterable, Iterator
 
 from .errors import BudgetExceededError, MalformedInputError, count_text
 from .freelie import (
@@ -53,15 +52,38 @@ from .symgroup import Partition, hook_dim, iter_partitions, partitions
 DEFAULT_TUPLE_BUDGET = 500_000
 
 
-@dataclass(frozen=True)
 class ExactMode:
-    pass
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not ExactMode:
+            return NotImplemented
+        return True
+
+    def __hash__(self) -> int:
+        return hash(ExactMode)
+
+    def __repr__(self) -> str:
+        return "ExactMode()"
 
 
-@dataclass(frozen=True)
 class SampledMode:
-    count: int
-    seed: int = 0
+    __slots__ = ("count", "seed")
+
+    def __init__(self, count: int, seed: int = 0):
+        self.count = count
+        self.seed = seed
+
+    def __eq__(self, other):
+        if other.__class__ is not SampledMode:
+            return NotImplemented
+        return (self.count, self.seed) == (other.count, other.seed)
+
+    def __hash__(self) -> int:
+        return hash((self.count, self.seed))
+
+    def __repr__(self) -> str:
+        return f"SampledMode(count={self.count}, seed={self.seed})"
 
 
 Mode = "ExactMode | SampledMode"
@@ -118,7 +140,6 @@ def evaluate(
     return out
 
 
-@dataclass
 class _ColumnSpace:
     """Incremental echelon over integer column vectors; the pivots span
     the inserted columns, and the rank is their number.
@@ -126,7 +147,10 @@ class _ColumnSpace:
     Elimination is fraction-free: a column is reduced with integer
     pivots (w <- b*w - a*r) and stored as a primitive pivot."""
 
-    pivots: list = field(default_factory=list)  # (lead index, primitive int column)
+    __slots__ = ("pivots",)
+
+    def __init__(self):
+        self.pivots = []  # (lead index, primitive int column)
 
     def insert(self, col) -> bool:
         w = list(col)
@@ -280,17 +304,21 @@ def _transpose(values: dict[Word, dict[int, int]], words: list[Word]) -> Iterato
     return (tuple(col) for col in columns.values())
 
 
-@dataclass(frozen=True)
 class CocharacterRow:
-    shape: Partition
-    multiplicity: int
-    degree: int  # d_lambda
+    __slots__ = ("shape", "multiplicity", "degree")
+
+    def __init__(self, shape: Partition, multiplicity: int, degree: int):
+        self.shape = shape
+        self.multiplicity = multiplicity
+        self.degree = degree  # d_lambda
 
 
-@dataclass(frozen=True)
 class CocharacterTable:
-    n: int
-    rows: tuple[CocharacterRow, ...]
+    __slots__ = ("n", "rows")
+
+    def __init__(self, n: int, rows: tuple[CocharacterRow, ...]):
+        self.n = n
+        self.rows = rows
 
     @property
     def colength(self) -> int:

@@ -16,7 +16,6 @@ which enumerates (or samples) the set assignments and basis words.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import HypothesisFailure, MalformedInputError
@@ -74,11 +73,18 @@ def vector_label(algebra: LieAlgebra, v: Vector) -> str:
     return joined[1:] if joined.startswith("+") else joined
 
 
-@dataclass(frozen=True)
 class HeightSpanTable:
-    spans: dict[frozenset[int], Subspace]
-    generators: dict[frozenset[int], tuple[tuple[Vector, object], ...]]
-    component_dims: tuple[int, ...]
+    __slots__ = ("spans", "generators", "component_dims")
+
+    def __init__(
+        self,
+        spans: dict[frozenset[int], Subspace],
+        generators: dict[frozenset[int], tuple[tuple[Vector, object], ...]],
+        component_dims: tuple[int, ...],
+    ):
+        self.spans = spans
+        self.generators = generators
+        self.component_dims = component_dims
 
     def height(self, subset: frozenset[int]) -> int:
         return sum(self.component_dims[i] for i in subset)
@@ -130,14 +136,25 @@ def height_spans(report: StructureReport) -> HeightSpanTable:
     return HeightSpanTable(spans, {k: tuple(v) for k, v in gens.items()}, dims)
 
 
-@dataclass(frozen=True)
 class ExponentReport:
-    d: int
-    maximizing_subset: tuple[int, ...]
-    witness_expr: object | None
-    witness_value: Vector | None
-    structure: StructureReport
-    table: HeightSpanTable
+    __slots__ = ("d", "maximizing_subset", "witness_expr", "witness_value",
+                 "structure", "table")
+
+    def __init__(
+        self,
+        d: int,
+        maximizing_subset: tuple[int, ...],
+        witness_expr: object | None,
+        witness_value: Vector | None,
+        structure: StructureReport,
+        table: HeightSpanTable,
+    ):
+        self.d = d
+        self.maximizing_subset = maximizing_subset
+        self.witness_expr = witness_expr
+        self.witness_value = witness_value
+        self.structure = structure
+        self.table = table
 
     def witness_str(self) -> str | None:
         if self.witness_expr is None:
@@ -170,30 +187,33 @@ def pi_exponent_candidate(algebra: LieAlgebra) -> ExponentReport:
     )
 
 
-@dataclass(frozen=True)
 class QPolySpec:
     """k disjoint alternating sets of size r inside degree n."""
 
-    r: int
-    k: int
-    n: int
+    __slots__ = ("r", "k", "n")
 
-    def __post_init__(self):
-        if self.r < 1 or self.k < 1 or self.n < self.r * self.k:
+    def __init__(self, r: int, k: int, n: int):
+        if r < 1 or k < 1 or n < r * k:
             raise MalformedInputError("need r, k >= 1 and n >= r*k")
+        self.r = r
+        self.k = k
+        self.n = n
 
     @property
     def free_count(self) -> int:
         return self.n - self.r * self.k
 
 
-@dataclass(frozen=True)
 class UpperVerdict:
-    passed: bool
-    spec: QPolySpec
-    checks: int
-    exhaustive: bool  # all (monomial, set-assignment) pairs covered
-    counterexample: tuple | None  # (word, sets, assignment labels)
+    __slots__ = ("passed", "spec", "checks", "exhaustive", "counterexample")
+
+    def __init__(self, passed: bool, spec: QPolySpec, checks: int,
+                 exhaustive: bool, counterexample: tuple | None):
+        self.passed = passed
+        self.spec = spec
+        self.checks = checks
+        self.exhaustive = exhaustive  # all (monomial, set-assignment) pairs covered
+        self.counterexample = counterexample  # (word, sets, assignment labels)
 
     def __str__(self) -> str:
         status = "pass" if self.passed else "FAIL"
@@ -229,13 +249,17 @@ def verify_upper(
     return UpperVerdict(False, spec, checks, exhaustive, (word, sets, labels))
 
 
-@dataclass(frozen=True)
 class LowerWitness:
-    spec: QPolySpec
-    word: Word
-    sets: tuple[tuple[int, ...], ...]
-    assignment: dict[int, int]  # variable -> basis index
-    value: Vector
+    __slots__ = ("spec", "word", "sets", "assignment", "value")
+
+    def __init__(self, spec: QPolySpec, word: Word,
+                 sets: tuple[tuple[int, ...], ...], assignment: dict[int, int],
+                 value: Vector):
+        self.spec = spec
+        self.word = word
+        self.sets = sets
+        self.assignment = assignment  # variable -> basis index
+        self.value = value
 
     def polynomial(self) -> MultilinearPolynomial:
         base = MultilinearPolynomial(len(self.word), {self.word: Fraction(1)})
@@ -278,23 +302,27 @@ def find_lower_witness(
     return None
 
 
-@dataclass(frozen=True)
 class GrowthRow:
-    n: int
-    codimension: int
-    colength: int
-    nth_root: float
+    __slots__ = ("n", "codimension", "colength", "nth_root")
+
+    def __init__(self, n: int, codimension: int, colength: int, nth_root: float):
+        self.n = n
+        self.codimension = codimension
+        self.colength = colength
+        self.nth_root = nth_root
 
 
-@dataclass(frozen=True)
 class GrowthReport:
-    rows: tuple[GrowthRow, ...]
-    d: int | None  # None when the structure hypotheses fail
+    __slots__ = ("rows", "d")
 
     note = (
         "desk-scale table; n-th roots at small n do not certify the "
         "asymptotic exponent"
     )
+
+    def __init__(self, rows: tuple[GrowthRow, ...], d: int | None):
+        self.rows = rows
+        self.d = d  # None when the structure hypotheses fail
 
 
 def growth_report(

@@ -12,7 +12,6 @@ a pair (left, right) meaning the bracket of the subtrees.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -65,17 +64,14 @@ def nth_basis_word(n: int, index: int) -> Word:
     return tuple(word) + (n,)
 
 
-@dataclass(frozen=True)
 class MultilinearPolynomial:
     """Sparse rational combination of canonical basis words of one degree."""
 
-    degree: int
-    terms: dict[Word, Fraction] = field(default_factory=dict)
+    __slots__ = ("degree", "terms")
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "terms", {w: c for w, c in self.terms.items() if c != 0}
-        )
+    def __init__(self, degree: int, terms: dict[Word, Fraction] | None = None):
+        self.degree = degree
+        self.terms = {w: c for w, c in (terms or {}).items() if c != 0}
 
     @classmethod
     def zero(cls, degree: int) -> "MultilinearPolynomial":
@@ -209,11 +205,13 @@ def permute(sigma: dict[int, int] | tuple[int, ...], f: MultilinearPolynomial) -
     return MultilinearPolynomial(n, terms)
 
 
-@dataclass(frozen=True)
 class AltSpec:
     """Pairwise-disjoint variable index sets to alternate over."""
 
-    sets: tuple[frozenset[int], ...]
+    __slots__ = ("sets",)
+
+    def __init__(self, sets: tuple[frozenset[int], ...]):
+        self.sets = sets
 
     @classmethod
     def of(cls, *sets) -> "AltSpec":

@@ -13,10 +13,9 @@ and we raise NotSplitError instead of reporting a wrong answer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable
 from fractions import Fraction
 from math import lcm
-from typing import Iterable
 
 from .errors import (
     HypothesisFailure,
@@ -47,12 +46,14 @@ from .linalg import (
 )
 
 
-@dataclass(frozen=True)
 class LieAlgebra:
     """Algebra given by [b_i, b_j] for i < j; antisymmetry is implicit."""
 
-    labels: tuple[str, ...]
-    table: dict[tuple[int, int], Vector]  # 0-based, i < j
+    __slots__ = ("labels", "table")
+
+    def __init__(self, labels: tuple[str, ...], table: dict[tuple[int, int], Vector]):
+        self.labels = labels
+        self.table = table  # 0-based, i < j
 
     @property
     def dim(self) -> int:
@@ -182,28 +183,43 @@ def radical(algebra: LieAlgebra) -> Subspace:
     return result
 
 
-@dataclass(frozen=True)
 class SimpleComponent:
     """One simple ideal of the semisimple quotient, with its lift into L."""
 
-    subspace: Subspace  # in quotient coordinates
-    lifted_basis: tuple[Vector, ...]  # B_i: preimages in L
+    __slots__ = ("subspace", "lifted_basis")
+
+    def __init__(self, subspace: Subspace, lifted_basis: tuple[Vector, ...]):
+        self.subspace = subspace  # in quotient coordinates
+        self.lifted_basis = lifted_basis  # B_i: preimages in L
 
     @property
     def dim(self) -> int:
         return self.subspace.dim
 
 
-@dataclass(frozen=True)
 class StructureReport:
-    algebra: LieAlgebra
-    nilradical: Subspace
-    nil_class: int
-    quotient: LieAlgebra
-    components: tuple[SimpleComponent, ...]
-    nilradical_basis: tuple[Vector, ...]  # C: basis of N inside L
-    _rep_indices: tuple[int, ...]
-    _coords_inverse: Matrix  # inverse of [reps; N basis] stacked as rows
+    __slots__ = ("algebra", "nilradical", "nil_class", "quotient", "components",
+                 "nilradical_basis", "_rep_indices", "_coords_inverse")
+
+    def __init__(
+        self,
+        algebra: LieAlgebra,
+        nilradical: Subspace,
+        nil_class: int,
+        quotient: LieAlgebra,
+        components: tuple[SimpleComponent, ...],
+        nilradical_basis: tuple[Vector, ...],
+        _rep_indices: tuple[int, ...],
+        _coords_inverse: Matrix,
+    ):
+        self.algebra = algebra
+        self.nilradical = nilradical
+        self.nil_class = nil_class
+        self.quotient = quotient
+        self.components = components
+        self.nilradical_basis = nilradical_basis  # C: basis of N inside L
+        self._rep_indices = _rep_indices
+        self._coords_inverse = _coords_inverse  # inverse of [reps; N basis] stacked as rows
 
     @property
     def quotient_dim(self) -> int:

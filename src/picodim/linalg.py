@@ -7,9 +7,8 @@ two generating sets of the same subspace produce identical bases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Iterable, Sequence
 
 from .errors import MalformedInputError
 
@@ -90,12 +89,26 @@ def rank(m: Matrix) -> int:
     return rank_exact(m)
 
 
-@dataclass(frozen=True)
 class Subspace:
-    """A subspace of Q^n held as a reduced-echelon basis (canonical)."""
+    """A subspace of Q^n held as a reduced-echelon basis (canonical), so
+    two subspaces are equal iff their ambients and bases are."""
 
-    ambient: int
-    basis: Matrix
+    __slots__ = ("ambient", "basis")
+
+    def __init__(self, ambient: int, basis: Matrix):
+        self.ambient = ambient
+        self.basis = basis
+
+    def __eq__(self, other):
+        if other.__class__ is not Subspace:
+            return NotImplemented
+        return (self.ambient, self.basis) == (other.ambient, other.basis)
+
+    def __hash__(self) -> int:
+        return hash((self.ambient, self.basis))
+
+    def __repr__(self) -> str:
+        return f"Subspace(ambient={self.ambient}, basis={self.basis!r})"
 
     @classmethod
     def from_vectors(cls, ambient: int, vectors: Iterable[Vector]) -> "Subspace":

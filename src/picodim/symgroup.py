@@ -8,7 +8,6 @@ action on multilinear polynomials.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
@@ -26,14 +25,38 @@ def compose(s: Perm, t: Perm) -> Perm:
     return tuple(s[t[i] - 1] for i in range(len(t)))
 
 
-@dataclass(frozen=True, order=True)
 class Partition:
-    parts: tuple[int, ...]
+    """A partition of n as its weakly decreasing parts; compared, ordered
+    and hashed by the parts tuple."""
 
-    def __post_init__(self):
-        p = self.parts
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: tuple[int, ...]):
+        p = self.parts = parts
         if not p or any(x <= 0 for x in p) or any(p[i] < p[i + 1] for i in range(len(p) - 1)):
             raise MalformedInputError(f"not a partition: {p}")
+
+    def __eq__(self, other):
+        if other.__class__ is not Partition:
+            return NotImplemented
+        return self.parts == other.parts
+
+    def __hash__(self) -> int:
+        return hash(self.parts)
+
+    # > and >= fall back to the reflected < and <=
+    def __lt__(self, other):
+        if other.__class__ is not Partition:
+            return NotImplemented
+        return self.parts < other.parts
+
+    def __le__(self, other):
+        if other.__class__ is not Partition:
+            return NotImplemented
+        return self.parts <= other.parts
+
+    def __repr__(self) -> str:
+        return f"Partition(parts={self.parts!r})"
 
     @property
     def n(self) -> int:
@@ -96,17 +119,17 @@ def hook_dim(shape: Partition) -> int:
     return factorial(shape.n) // product
 
 
-@dataclass(frozen=True)
 class YoungTableau:
-    shape: Partition
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = ("shape", "rows")
 
-    def __post_init__(self):
-        flat = [x for row in self.rows for x in row]
-        if tuple(len(r) for r in self.rows) != self.shape.parts or sorted(
+    def __init__(self, shape: Partition, rows: tuple[tuple[int, ...], ...]):
+        flat = [x for row in rows for x in row]
+        if tuple(len(r) for r in rows) != shape.parts or sorted(
             flat
-        ) != list(range(1, self.shape.n + 1)):
+        ) != list(range(1, shape.n + 1)):
             raise MalformedInputError("filling is not a bijection onto 1..n")
+        self.shape = shape
+        self.rows = rows
 
     @classmethod
     def row_reading(cls, shape: Partition) -> "YoungTableau":
@@ -125,15 +148,12 @@ class YoungTableau:
         return cols
 
 
-@dataclass(frozen=True)
 class GroupAlgebraElement:
-    degree: int
-    terms: dict[Perm, Fraction]
+    __slots__ = ("degree", "terms")
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "terms", {p: c for p, c in self.terms.items() if c != 0}
-        )
+    def __init__(self, degree: int, terms: dict[Perm, Fraction]):
+        self.degree = degree
+        self.terms = {p: c for p, c in terms.items() if c != 0}
 
     @classmethod
     def identity(cls, n: int) -> "GroupAlgebraElement":

@@ -1,6 +1,10 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -16,6 +20,8 @@ from picodim.errors import (
 )
 
 from helpers import sl2_over_sqrt2
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def invoke(*argv):
@@ -282,10 +288,39 @@ def test_unusable_cache_is_malformed_input(tmp_path):
     assert code == 0 and payload["dim"] == 3
 
 
+def test_unusable_cache_fails_before_computing(tmp_path, monkeypatch):
+    # a cache path under a regular file is refused before the engine runs
+    def forbidden(*args, **kwargs):
+        raise AssertionError("computed before checking the cache path")
+
+    monkeypatch.setattr(cli.CodimEngine, "cocharacter", forbidden)
+    regular = tmp_path / "file"
+    regular.write_text("")
+    for command in ("codim", "cocharacter"):
+        code, payload = invoke_json(command, "sl2_natural", "--n", "7",
+                                    "--cache", str(regular / "x"))
+        assert code == 2, command
+        assert payload["error"] == "malformed-input", command
+
+
+def test_cli_import_creates_no_dataclasses_and_loads_no_hashlib():
+    # every CLI run is a fresh interpreter, so what `import picodim.cli`
+    # loads is paid by each run; -S keeps site hooks out of the result
+    script = ("import picodim.cli, sys; "
+              "print(sorted({'dataclasses', 'inspect', 'hashlib'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-S", "-c", script],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_removed_options_are_usage_errors():
-    # usage errors print JSON too; the last case leaves out the required --n
+    # usage errors print JSON too; the last case leaves out the required
+    # --n, and the two before it fail RunConfig's check of the values
     for argv in (("--n", "3", "--mode", "modular"), ("--n", "3", "--prime-bits", "31"),
-                 ("--n", "3", "--jobs", "2"), ()):
+                 ("--n", "3", "--jobs", "2"), ("--n", "3", "--budget", "0"),
+                 ("--n", "3", "--samples", "0"), ()):
         code, payload = invoke_json("codim", "sl2", "--format", "json",
                                     "--no-cache", *argv)
         assert code == 2, argv

@@ -174,6 +174,11 @@ def test_sampled_columns_match_evaluator_oracle(engine_for):
 
 
 def test_unknown_mode_is_rejected(engine_for):
+    # the two modes are values: equal fields compare and hash equal
+    assert SampledMode(5, 1) == SampledMode(5, 1) == SampledMode(count=5, seed=1)
+    assert hash(SampledMode(5, 1)) == hash(SampledMode(5, 1))
+    assert SampledMode(5, 1) != SampledMode(5, 2) and SampledMode(5) != ExactMode()
+    assert ExactMode() == ExactMode() and len({ExactMode(), ExactMode()}) == 1
     engine = engine_for("sl2")
     for call in (
         lambda: engine.codimension(2, "fast"),

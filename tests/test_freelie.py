@@ -114,6 +114,10 @@ def test_permute_identity():
 def test_permute_transposition_antisymmetry():
     f = rewrite((1, 2))
     assert permute((2, 1), f).terms == {(1, 2): Fraction(-1)}
+    # zero terms are dropped on construction, so f - f has none
+    assert (f - f).terms == {} and (f - f).is_zero()
+    assert MultilinearPolynomial(2, {(1, 2): Fraction(0)}).terms == {}
+    assert MultilinearPolynomial(2).is_zero()
 
 
 def test_permute_is_group_action():

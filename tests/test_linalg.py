@@ -74,6 +74,10 @@ def test_span_add_recovers_unit_vectors():
     a = Subspace.from_vectors(2, [vec([1, 1])])
     b = Subspace.from_vectors(2, [vec([1, -1])])
     assert span_add(a, b) == Subspace.full(2)
+    # different spanning sets of one space give equal, equally hashed values
+    c = Subspace.from_vectors(2, [vec([2, 0]), vec([3, 5]), vec([1, 1])])
+    assert c == span_add(a, b) and hash(c) == hash(Subspace.full(2))
+    assert a != b and a != Subspace.from_vectors(3, [vec([1, 1, 0])])
 
 
 def test_span_add_ambient_mismatch():

@@ -39,6 +39,13 @@ def test_height_filter_keeps_the_order_of_all_partitions():
     # the listing prunes parts too small for the slots left
     for n in range(1, 13):
         every = partitions(n)
+        # partitions order, compare and hash as their parts tuples, and
+        # the listing is descending in that order
+        assert sorted(every) == sorted(every, key=lambda p: p.parts)
+        assert sorted(every, reverse=True) == every
+        assert all(a > b and a >= b and b < a and b <= a for a, b in zip(every, every[1:]))
+        index = {p: i for i, p in enumerate(every)}
+        assert [index[Partition(p.parts)] for p in every] == list(range(len(every)))
         for h in range(1, n + 1):
             assert partitions(n, h) == [p for p in every if p.height <= h], (n, h)
 
@@ -141,6 +148,11 @@ def test_act_degree_two_antisymmetrizer():
     f = rewrite((1, 2))
     g = GroupAlgebraElement(2, {(1, 2): Fraction(1), (2, 1): Fraction(-1)})
     assert act(g, f).terms == {(1, 2): Fraction(2)}
+    # zero terms are dropped on construction
+    h = GroupAlgebraElement(2, {(1, 2): Fraction(1), (2, 1): Fraction(0)})
+    assert h.terms == {(1, 2): Fraction(1)}
+    assert (g * g).terms == {(1, 2): Fraction(2), (2, 1): Fraction(-2)}
+    assert g.scale(Fraction(0)).terms == {}
 
 
 def test_act_degree_mismatch():
