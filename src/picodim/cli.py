@@ -146,12 +146,12 @@ def load_algebra(source: str) -> LieAlgebra:
     """Catalog name or path to a JSON structure-constant file."""
     try:
         return catalog_algebra(source)
-    except MalformedInputError:
-        pass
+    except MalformedInputError as exc:
+        reason = str(exc)
     path = Path(source)
     if not path.exists():
         raise MalformedInputError(
-            f"{source!r} is neither a catalog name nor an existing file"
+            f"{source!r} is neither a catalog name nor an existing file ({reason})"
         )
     try:
         data = json.loads(path.read_text())

@@ -2,22 +2,25 @@
 decision, codimensions c_n, cocharacter multiplicities m_lambda,
 colengths l_n, and alternated-identity checks.
 
-Every engine value comes from one integer kernel, multihomogeneous
-ranks (`_ContentRanks`): S_n-cocharacters are GL_m-characters of the
-relatively free algebra F_m(L) (Berele 1982, Drensky 1984), so m_lambda
-is an alternating sum of the dimensions h(mu) of its content-mu parts,
-each the rank of right-normed words evaluated at generic elements, and
-c_n = sum m_lambda d_lambda.  Ranks come from `_ColumnSpace`,
-fraction-free over the integers.  Exact work is budgeted in generic
-evaluation points, sum over the contents mu of
+Every engine value comes from one integer kernel, the multihomogeneous
+ranks h(mu) that `CodimEngine.rank` computes: S_n-cocharacters are
+GL_m-characters of the relatively free algebra F_m(L) (Berele 1982,
+Drensky 1984), so m_lambda is an alternating sum of the dimensions h(mu)
+of its content-mu parts, each the rank of right-normed words evaluated
+at generic elements, and c_n = sum m_lambda d_lambda.  `_span` is the
+one elimination loop: it feeds distinct columns to `_ColumnSpace`,
+fraction-free over the integers, until the rank is full.  Exact work is
+budgeted in generic evaluation points, sum over the contents mu of
 prod_i C(dim L + mu_i - 1, mu_i), which is dim(L)^n at mu = 1^n.
 
-Decisions evaluate and never eliminate: `CodimEngine.is_identity`
-evaluates f through the kernel's content-1^n words, at generic elements
-in exact mode (f is an identity iff that value is zero, char 0) and at
-`count` random basis tuples in sampled mode, which are also the tuples
-whose columns `CodimEngine.sampled_columns` ranks for a sampled c_n.
-`_AlternatedChecker.scan` checks every alternation, or a sample.
+The mode picks only the evaluation points (`CodimEngine._points`): the
+generic point in exact mode, `count` random basis tuples in sampled
+mode.  Decisions evaluate there and never eliminate:
+`CodimEngine.is_identity` evaluates f through the kernel's content-1^n
+words (in exact mode f is an identity iff that value is zero, char 0),
+and `CodimEngine.sampled_columns` ranks the columns at the same sampled
+tuples for a sampled c_n.  `_AlternatedChecker.scan` checks every
+alternation under the same exact budget, or a sample.
 `CodimEngine.cocharacter` has no sampled mode, so m_lambda and l_n are
 always exact.  For `capelli_holds`, `exponent.verify_upper` and
 `exponent.find_lower_witness` the scan evaluates alternations on
@@ -173,23 +176,85 @@ class _ColumnSpace:
         return len(self.pivots)
 
 
-class _ContentRanks:
-    """h(mu): the dimension of the content-mu part of the relatively free
-    algebra F_m(L), as the rank of the content-mu right-normed words
-    evaluated at generic elements x_i = sum_j xi_ij e_j.
+def _span(columns: Iterable, limit: int) -> _ColumnSpace:
+    """The column space of `columns`, each distinct column inserted once;
+    it stops once the rank reaches `limit`, the number of rows, so a
+    lazy `columns` is not drawn further."""
+    space = _ColumnSpace()
+    seen: set = set()
+    for col in columns:
+        if col in seen:
+            continue
+        seen.add(col)
+        space.insert(col)
+        if space.rank == limit:
+            break
+    return space
 
-    The words whose innermost letter is a variable of smallest
-    multiplicity span the content-mu part of the free Lie algebra (they
-    are the image of the P_n basis), and a multihomogeneous polynomial is
-    an identity iff it vanishes at generic elements (char 0).  The basis
-    is scaled by the lcm D of the structure-constant denominators, which
-    makes the constants integers and changes no identity, so values are
-    sparse dicts of Python ints.  A value's key is code * p + coordinate,
-    where the xi-monomial prod xi_vj^e is coded as sum e * base^(v*p + j)
-    with base = n + 1, so multiplying by xi_vj is one addition.
-    """
 
-    def __init__(self, algebra: LieAlgebra):
+def _transpose(values: dict[Word, dict[int, int]], words: list[Word]) -> Iterator:
+    """The columns of `CodimEngine._values`, one tuple per key, with a
+    row for each of `words`; each tuple is built when it is reached."""
+    index = {w: i for i, w in enumerate(words)}
+    columns: dict[int, list[int]] = {}
+    for w, row in values.items():
+        i = index[w]
+        for key, c in row.items():
+            col = columns.get(key)
+            if col is None:
+                col = columns[key] = [0] * len(words)
+            col[i] = c
+    return (tuple(col) for col in columns.values())
+
+
+class CocharacterRow:
+    __slots__ = ("shape", "multiplicity", "degree")
+
+    def __init__(self, shape: Partition, multiplicity: int, degree: int):
+        self.shape = shape
+        self.multiplicity = multiplicity
+        self.degree = degree  # d_lambda
+
+
+class CocharacterTable:
+    __slots__ = ("n", "rows")
+
+    def __init__(self, n: int, rows: tuple[CocharacterRow, ...]):
+        self.n = n
+        self.rows = rows
+
+    @property
+    def colength(self) -> int:
+        return sum(r.multiplicity for r in self.rows)
+
+    @property
+    def codimension_sum(self) -> int:
+        return sum(r.multiplicity * r.degree for r in self.rows)
+
+
+class CodimEngine:
+    """Per-algebra engine over one integer kernel, and the keeper of its
+    multihomogeneous ranks across calls.
+
+    h(mu), the dimension of the content-mu part of the relatively free
+    algebra F_m(L), is the rank of the content-mu right-normed words
+    evaluated at generic elements x_i = sum_j xi_ij e_j.  The words whose
+    innermost letter is a variable of smallest multiplicity span the
+    content-mu part of the free Lie algebra (they are the image of the
+    P_n basis), and a multihomogeneous polynomial is an identity iff it
+    vanishes at generic elements (char 0).  The basis is scaled by the
+    lcm D of the structure-constant denominators, which makes the
+    constants integers and changes no identity, so values are sparse
+    dicts of Python ints.  A value's key is code * p + coordinate, where
+    the xi-monomial prod xi_vj^e is coded as sum e * base^(v*p + j) with
+    base = n + 1, so multiplying by xi_vj is one addition.
+
+    Ranks (c_n, m_lambda) eliminate columns in `_ColumnSpace`; identity
+    decisions only evaluate, so they build no column space."""
+
+    def __init__(self, algebra: LieAlgebra, tuple_budget: int = DEFAULT_TUPLE_BUDGET):
+        self.algebra = algebra
+        self.tuple_budget = tuple_budget
         p = self.p = algebra.dim
         scale = self.scale = lcm(
             *(c.denominator for v in algebra.table.values() for c in v)
@@ -205,6 +270,8 @@ class _ContentRanks:
         ]
         self._ranks: dict[tuple[int, ...], int] = {}
 
+    # -- the kernel -------------------------------------------------------
+
     def cost(self, mu: tuple[int, ...]) -> int:
         """Generic evaluation points of content mu: the xi-monomials,
         prod_i C(p + mu_i - 1, mu_i); p^n at mu = 1^n."""
@@ -217,26 +284,17 @@ class _ContentRanks:
         """h(mu) for a partition mu (sorted, no zeros)."""
         h = self._ranks.get(mu)
         if h is None:
-            h = self._ranks[mu] = self.space(mu).rank
+            h = self._ranks[mu] = self._space(mu).rank
         return h
 
-    def space(self, mu: tuple[int, ...]) -> _ColumnSpace:
-        """Column space of the content-mu words, a row for each nonzero
-        word; it stops once the rank reaches the number of rows."""
+    def _space(self, mu: tuple[int, ...]) -> _ColumnSpace:
+        """Column space of the content-mu words at the generic point, a
+        row for each nonzero word."""
         values = self._values(mu)
         nonzero = len(values)
         columns = _transpose(values, list(values))
         del values  # the columns hold every entry; free the row dicts
-        space = _ColumnSpace()
-        seen: set = set()
-        for col in columns:
-            if col in seen:
-                continue
-            seen.add(col)
-            space.insert(col)
-            if space.rank == nonzero:
-                break
-        return space
+        return _span(columns, nonzero)
 
     def _values(self, mu: tuple[int, ...], point=None) -> dict[Word, dict[int, int]]:
         """Nonzero values of the distinct content-mu words ending in the
@@ -288,70 +346,29 @@ class _ContentRanks:
         extend({shift[m - 1][j] + j: 1 for j in picks[m - 1]}, (m,), n - 1)
         return rows
 
-
-def _transpose(values: dict[Word, dict[int, int]], words: list[Word]) -> Iterator:
-    """The columns of `_ContentRanks._values`, one tuple per key, with a
-    row for each of `words`; each tuple is built when it is reached."""
-    index = {w: i for i, w in enumerate(words)}
-    columns: dict[int, list[int]] = {}
-    for w, row in values.items():
-        i = index[w]
-        for key, c in row.items():
-            col = columns.get(key)
-            if col is None:
-                col = columns[key] = [0] * len(words)
-            col[i] = c
-    return (tuple(col) for col in columns.values())
-
-
-class CocharacterRow:
-    __slots__ = ("shape", "multiplicity", "degree")
-
-    def __init__(self, shape: Partition, multiplicity: int, degree: int):
-        self.shape = shape
-        self.multiplicity = multiplicity
-        self.degree = degree  # d_lambda
-
-
-class CocharacterTable:
-    __slots__ = ("n", "rows")
-
-    def __init__(self, n: int, rows: tuple[CocharacterRow, ...]):
-        self.n = n
-        self.rows = rows
-
-    @property
-    def colength(self) -> int:
-        return sum(r.multiplicity for r in self.rows)
-
-    @property
-    def codimension_sum(self) -> int:
-        return sum(r.multiplicity * r.degree for r in self.rows)
-
-
-class CodimEngine:
-    """Per-algebra engine; keeps its multihomogeneous ranks across calls.
-
-    Ranks (c_n, m_lambda) eliminate columns in `_ColumnSpace`; identity
-    decisions only evaluate, so they build no column space."""
-
-    def __init__(self, algebra: LieAlgebra, tuple_budget: int = DEFAULT_TUPLE_BUDGET):
-        self.algebra = algebra
-        self.tuple_budget = tuple_budget
-        self._content_ranks = _ContentRanks(algebra)
+    def _points(self, n: int, mode: Mode):
+        """The kernel's evaluation points at degree n: the generic point
+        (None) in exact mode, once its dim(L)^n cost fits the budget; the
+        `mode.count` seeded random basis tuples in sampled mode."""
+        if isinstance(mode, ExactMode):
+            self._require_budget([(1,) * n])
+            return [None]
+        if isinstance(mode, SampledMode):
+            rng, p = random.Random(mode.seed), self.p
+            return (tuple(rng.randrange(p) for _ in range(n)) for _ in range(mode.count))
+        raise MalformedInputError(f"unknown mode {mode!r}")
 
     # -- column generation ------------------------------------------------
 
     def _tuple_columns(self, words: list[Word], tup: tuple[int, ...]):
         """The nonzero columns of `words` at the basis tuple `tup`, times D^(n-1)."""
-        values = self._content_ranks._values((1,) * len(tup), tup)
-        return _transpose(values, words)
+        return _transpose(self._values((1,) * len(tup), tup), words)
 
     def _require_budget(self, contents: Iterable[tuple[int, ...]]) -> None:
         """Raise unless the generic evaluation points of the contents,
         sum of cost(mu), fit the budget; at mu = 1^n they are the dim(L)^n
         basis tuples."""
-        required = sum(self._content_ranks.cost(mu) for mu in contents)
+        required = sum(self.cost(mu) for mu in contents)
         if required > self.tuple_budget:
             raise BudgetExceededError(
                 f"exact evaluation needs {count_text(required)} generic "
@@ -359,33 +376,19 @@ class CodimEngine:
                 required=required,
             )
 
-    def _sample_points(self, n: int, mode: SampledMode) -> Iterator[tuple[int, ...]]:
-        """The `mode.count` random basis tuples of sampled mode at degree n."""
-        rng, p = random.Random(mode.seed), self.algebra.dim
-        return (tuple(rng.randrange(p) for _ in range(n)) for _ in range(mode.count))
-
     def exhaustive_columns(self, n: int) -> _ColumnSpace:
         """The content-1^n columns, one for each (basis tuple, coordinate);
         their rank is c_n."""
-        mu = (1,) * n
-        self._require_budget([mu])
-        return self._content_ranks.space(mu)
+        self._points(n, ExactMode())  # the budget of the generic point
+        return self._space((1,) * n)
 
     def sampled_columns(self, n: int, mode: SampledMode) -> _ColumnSpace:
         """Columns of the sampled basis tuples, rows in `basis_Pn(n)`
-        order, until the rank reaches (n-1)!."""
+        order; no tuple is drawn once the rank reaches (n-1)!."""
+        points = self._points(n, mode)
         words = basis_Pn(n)
-        space = _ColumnSpace()
-        seen: set = set()
-        for tup in self._sample_points(n, mode):
-            for col in self._tuple_columns(words, tup):
-                if col in seen:
-                    continue
-                seen.add(col)
-                space.insert(col)
-            if space.rank == len(words):
-                break
-        return space
+        return _span((col for tup in points for col in self._tuple_columns(words, tup)),
+                     len(words))
 
     # -- public operations ------------------------------------------------
 
@@ -394,14 +397,12 @@ class CodimEngine:
         d_lambda; sampled mode takes the rank of sampled columns."""
         if isinstance(mode, ExactMode):
             return self.cocharacter(n).codimension_sum
-        if isinstance(mode, SampledMode):
-            return self.sampled_columns(n, mode).rank
-        raise MalformedInputError(f"unknown mode {mode!r}")
+        return self.sampled_columns(n, mode).rank
 
     def pairing(self, f: MultilinearPolynomial,
                 values: dict[Word, dict[int, int]]) -> dict[int, int]:
         """f's value, sum over words w of f_w * value_w, for word values
-        from `_ContentRanks._values`, as a sparse dict without zeros.
+        from `_values`, as a sparse dict without zeros.
         f is scaled by the lcm of its denominators, which changes no
         zero, so the value is over the integers."""
         den = lcm(*(c.denominator for c in f.terms.values()))
@@ -422,15 +423,8 @@ class CodimEngine:
         if f.is_zero():
             return True
         mu = (1,) * f.degree
-        if isinstance(mode, ExactMode):
-            self._require_budget([mu])
-            points = [None]
-        elif isinstance(mode, SampledMode):
-            points = self._sample_points(f.degree, mode)
-        else:
-            raise MalformedInputError(f"unknown mode {mode!r}")
-        kernel = self._content_ranks
-        return not any(self.pairing(f, kernel._values(mu, point)) for point in points)
+        return not any(self.pairing(f, self._values(mu, point))
+                       for point in self._points(f.degree, mode))
 
     def cocharacter(self, n: int) -> CocharacterTable:
         """m_lambda for every partition of n, read off multihomogeneous
@@ -439,18 +433,17 @@ class CodimEngine:
         and m_lambda = 0 when m > dim L.  There is no sampled mode: a
         rank over sampled columns bounds each h(mu) from below, but an
         alternating sum of such bounds bounds nothing."""
-        kernel = self._content_ranks
         # the contents of the shapes of height <= dim L (lambda itself
         # among them) are the partitions of n into at most dim L parts;
         # each costs at least 1, so budget + 1 of them decide the check
         self._require_budget(
-            itertools.islice(iter_partitions(n, kernel.p), self.tuple_budget + 1)
+            itertools.islice(iter_partitions(n, self.p), self.tuple_budget + 1)
         )
         rows = []
         for shape in partitions(n):
             m = 0
-            if shape.height <= kernel.p:  # else alternating repeats a basis slot
-                m = sum(sign * kernel.rank(mu)
+            if shape.height <= self.p:  # else alternating repeats a basis slot
+                m = sum(sign * self.rank(mu)
                         for sign, mu in _alternating_contents(shape.parts))
             rows.append(CocharacterRow(shape, m, hook_dim(shape)))
         return CocharacterTable(n, tuple(rows))
@@ -462,8 +455,6 @@ class CodimEngine:
         in sampled mode True means "not refuted"."""
         if not 1 <= t <= n:
             raise MalformedInputError("need 1 <= t <= n")
-        if isinstance(mode, ExactMode):
-            self._require_budget([(1,) * n])
         _, _, hit = _AlternatedChecker(self).scan(n, t, 1, mode)
         return hit is None
 
@@ -522,13 +513,12 @@ class _AlternatedChecker:
     basis assignments per set is equivalent to the full tuple sweep.
     The sum over the set permutations at one assignment is taken by a
     signed pass over the word (`find_nonzero`), in the integer brackets
-    of the scaled basis that `_ContentRanks` holds, so no word value is
+    of the scaled basis that the engine holds, so no word value is
     cached.
     """
 
     def __init__(self, engine: CodimEngine):
         self.engine = engine
-        self.algebra = engine.algebra
 
     def find_nonzero(self, word: Word, sets: tuple[tuple[int, ...], ...]):
         """A basis assignment where the alternated word is nonzero, or None.
@@ -546,8 +536,8 @@ class _AlternatedChecker:
         contributes (-1)^(used values of that set above c), so a finished
         state carries the sum over the set permutations, up to the sign
         of the order in which the word meets each set's variables."""
-        kernel = self.engine._content_ranks
-        p, brackets = kernel.p, kernel.brackets
+        engine = self.engine
+        p, brackets = engine.p, engine.brackets
         r, n = len(sets[0]), len(word)
         slot = {v: (s, i) for s, vs in enumerate(sets) for i, v in enumerate(vs)}
         free = [v for v in range(1, n + 1) if v not in slot]
@@ -568,7 +558,7 @@ class _AlternatedChecker:
             v: [(c << digit[v], 0, c) for c in range(p)] for v in free
         }
         full = (1 << width) - 1
-        scale = Fraction(order_sign, kernel.scale ** (n - 1))
+        scale = Fraction(order_sign, engine.scale ** (n - 1))
         for set_vals in itertools.product(
             itertools.combinations(range(p), r), repeat=len(sets)
         ):
@@ -628,10 +618,13 @@ class _AlternatedChecker:
         nwords = dim_Pn(n)
         population = _assignment_count(n, r, k) * nwords
         total, exhaustive = population, True
-        if isinstance(mode, SampledMode):
+        if isinstance(mode, ExactMode):
+            # exact evaluation's one budget unit: dim(L)^n points at degree n
+            self.engine._require_budget([(1,) * n])
+        elif isinstance(mode, SampledMode):
             if mode.count < population:
                 total, exhaustive = mode.count, False
-        elif not isinstance(mode, ExactMode):
+        else:
             raise MalformedInputError(
                 "alternation checks support exact or sampled mode"
             )
@@ -641,7 +634,7 @@ class _AlternatedChecker:
                 f"{count_text(budget)}",
                 required=total,
             )
-        if r > self.algebra.dim:
+        if r > self.engine.p:
             # r slots alternated over dim L basis values repeat one
             return total, exhaustive, None
         if exhaustive:

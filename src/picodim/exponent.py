@@ -115,7 +115,7 @@ def height_spans(report: StructureReport) -> HeightSpanTable:
 
     empty = frozenset()
     spans[empty] = Subspace(algebra.dim, report.nilradical.basis)
-    gens[empty] = [(v, product_leaf(v)) for v in report.nilradical_basis]
+    gens[empty] = [(v, product_leaf(v)) for v in report.nilradical.basis]
     for i, comp in enumerate(report.components):
         for v in comp.lifted_basis:
             add(frozenset([i]), v, product_leaf(v))
@@ -236,7 +236,9 @@ def verify_upper(
     The alternated images of canonical basis words over all set
     assignments span the degree-n part of the multialternating space, so
     a full pass proves the vanishing statement at this degree.  Each
-    individual check is exhaustive over basis tuples.
+    individual check is exhaustive over basis tuples.  `budget` caps
+    the checks; an exact pass also needs its dim(L)^n generic points
+    within the engine's budget.
     """
     engine = engine or CodimEngine(algebra)
     checks, exhaustive, hit = _AlternatedChecker(engine).scan(
@@ -288,7 +290,8 @@ def find_lower_witness(
     """Search for a non-identity alternating on k disjoint r-sets.
 
     A single nonzero evaluation refutes identity, so a returned witness
-    is sound; None only means the search budget was exhausted.
+    is sound; None only means no degree up to n_max has one.  Each
+    degree's dim(L)^n generic points must fit the engine's budget.
     """
     if r < 1:
         raise MalformedInputError("need r >= 1")

@@ -37,7 +37,6 @@ from .linalg import (
     mat_vec,
     parse_fraction,
     rank_exact,
-    rref,
     unit_vec,
     vec,
     vec_add,
@@ -199,7 +198,7 @@ class SimpleComponent:
 
 class StructureReport:
     __slots__ = ("algebra", "nilradical", "nil_class", "quotient", "components",
-                 "nilradical_basis", "_rep_indices", "_coords_inverse")
+                 "_rep_indices")
 
     def __init__(
         self,
@@ -208,18 +207,14 @@ class StructureReport:
         nil_class: int,
         quotient: LieAlgebra,
         components: tuple[SimpleComponent, ...],
-        nilradical_basis: tuple[Vector, ...],
         _rep_indices: tuple[int, ...],
-        _coords_inverse: Matrix,
     ):
         self.algebra = algebra
         self.nilradical = nilradical
         self.nil_class = nil_class
         self.quotient = quotient
         self.components = components
-        self.nilradical_basis = nilradical_basis  # C: basis of N inside L
-        self._rep_indices = _rep_indices
-        self._coords_inverse = _coords_inverse  # inverse of [reps; N basis] stacked as rows
+        self._rep_indices = _rep_indices  # the coordinates off N's pivots
 
     @property
     def quotient_dim(self) -> int:
@@ -227,8 +222,7 @@ class StructureReport:
 
     def project_to_quotient(self, v: Vector) -> Vector:
         """Coordinates of v + N in the quotient basis."""
-        coeffs = mat_vec(self._coords_inverse, v)
-        return coeffs[: self.quotient.dim]
+        return _project(self.nilradical, self._rep_indices, v)
 
     def lift(self, g: Vector) -> Vector:
         """Section of the quotient map: representative in L of a quotient vector."""
@@ -284,39 +278,21 @@ def centroid(algebra: LieAlgebra) -> list[Matrix]:
 
 
 def _minimal_polynomial(x: Matrix, p: int) -> list[Fraction]:
-    """Coefficients c_0..c_k (monic, c_k = 1) of the minimal polynomial of x."""
-    flat_dim = p * p
+    """Coefficients c_0..c_k (monic, c_k = 1) of the minimal polynomial of x:
+    the first linear dependency among I, x, x^2, ...  The powers before
+    x^k are independent, so the dependency is unique up to scale and its
+    x^k coefficient is nonzero."""
     power = tuple(
         tuple(Fraction(1 if r == c else 0) for c in range(p)) for r in range(p)
     )
     powers: list[Vector] = []
     while True:
-        flat = tuple(power[r][c] for r in range(p) for c in range(p))
-        coords = _coords_in(powers, flat, flat_dim)
-        if coords is not None:
-            return [-c for c in coords] + [Fraction(1)]
-        powers.append(flat)
+        powers.append(tuple(power[r][c] for r in range(p) for c in range(p)))
+        null = kernel(tuple(zip(*powers)), len(powers))
+        if not null.is_zero():
+            coeffs = null.basis[0]
+            return [c / coeffs[-1] for c in coeffs]
         power = mat_mul(power, x)
-
-
-def _coords_in(vectors: list[Vector], target: Vector, ambient: int):
-    """Express target as a combination of the given vectors, or None."""
-    if not vectors:
-        return () if is_zero_vec(target) else None
-    m = len(vectors)
-    aug = tuple(
-        tuple(vectors[i][j] for i in range(m)) + (target[j],)
-        for j in range(ambient)
-    )
-    reduced = rref(aug)
-    sol = [Fraction(0)] * m
-    for row in reduced:
-        lead = next(i for i, v in enumerate(row) if v != 0)
-        if lead == m:
-            return None  # inconsistent: target not in the span
-        # rref normalizes pivots to 1 and clears the column, so read off directly
-        sol[lead] = row[m]
-    return tuple(sol)
 
 
 def _rational_roots(coeffs: list[Fraction]) -> list[Fraction]:
@@ -411,20 +387,12 @@ def analyze(algebra: LieAlgebra) -> StructureReport:
     # N = radical: any nilpotent ideal is solvable hence inside the radical,
     # and the radical itself is nilpotent, so it is the maximal nilpotent ideal.
     rep_indices = _complement_indices(rad, n)
-    stacked = tuple(
-        [unit_vec(n, i) for i in rep_indices] + list(rad.basis)
-    )
-    coords_inverse = invert(tuple(zip(*stacked)))  # solves stacked^T a = v
     p = len(rep_indices)
-
-    def project(v: Vector) -> Vector:
-        return mat_vec(coords_inverse, v)[:p]
-
     quotient_table: dict[tuple[int, int], Vector] = {}
     for a in range(p):
         for b in range(a + 1, p):
             value = algebra.bracket_basis(rep_indices[a], rep_indices[b])
-            img = project(value)
+            img = _project(rad, rep_indices, value)
             if not is_zero_vec(img):
                 quotient_table[(a, b)] = img
     quotient = LieAlgebra(
@@ -448,10 +416,16 @@ def analyze(algebra: LieAlgebra) -> StructureReport:
         nil_class=q,
         quotient=quotient,
         components=tuple(components),
-        nilradical_basis=tuple(rad.basis),
         _rep_indices=tuple(rep_indices),
-        _coords_inverse=coords_inverse,
     )
+
+
+def _project(rad: Subspace, rep_indices, v: Vector) -> Vector:
+    """Coordinates of v + N on the e_i, i in rep_indices: N's echelon
+    basis clears its pivot coordinates from v, so the residual, v minus
+    an element of N, lies in the span of the e_i off those pivots."""
+    residual = rad.reduce(v)
+    return tuple(residual[i] for i in rep_indices)
 
 
 def _lift(g: Vector, rep_indices, n: int) -> Vector:

@@ -178,7 +178,7 @@ def bracketing_enumeration_d(report: StructureReport, max_len: int = 6):
     for i, comp in enumerate(report.components):
         for v in comp.lifted_basis:
             atoms.append((frozenset([i]), v))
-    for v in report.nilradical_basis:
+    for v in report.nilradical.basis:
         atoms.append((frozenset(), v))
 
     levels = {1: set()}

@@ -138,6 +138,19 @@ def test_unknown_algebra_is_usage_error():
     assert payload["error"] == "malformed-input"
 
 
+def test_bad_catalog_argument_keeps_the_catalog_reason():
+    for argv, reason in (
+        (("analyze", "abelian(x)"), "bad abelian size in 'abelian(x)'"),
+        (("codim", "abelian(0)", "--n", "2"), "abelian(k) needs k >= 1"),
+        (("analyze", "no-such-thing"), "unknown catalog algebra 'no-such-thing'"),
+    ):
+        code, payload = invoke_json(*argv, "--no-cache")
+        assert code == 2
+        assert payload["error"] == "malformed-input"
+        assert "neither a catalog name nor an existing file" in payload["message"]
+        assert reason in payload["message"]
+
+
 def test_hypothesis_failure_exit_code():
     code, payload = invoke_json("analyze", "solvable2", "--no-cache")
     assert code == 3
@@ -168,6 +181,10 @@ def test_budget_exceeded_exit_code():
         ("capelli", "sl2", "--t", "2", "--n", "2000", "--mode", "sampled",
          "--samples", "5"),
         ("verify-upper", "sl2", "--k", "1", "--n", "2000"),
+        # exact alternation scans need the 3^n generic evaluation points
+        # of degree n, like exact capelli: 3^5 here, 3^3 for find-witness
+        ("verify-upper", "sl2", "--k", "1", "--n", "5", "--budget", "10"),
+        ("find-witness", "sl2", "--budget", "10"),
     ):
         code, payload = invoke_json(*argv, "--no-cache")
         assert code == 4

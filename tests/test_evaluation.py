@@ -158,7 +158,7 @@ def test_sampled_columns_match_evaluator_oracle(engine_for):
             for _ in range(2)
         ]
     engines.append(CodimEngine(sl2_over_sqrt2()))
-    assert sum(engine._content_ranks.scale > 1 for engine in engines) >= 10
+    assert sum(engine.scale > 1 for engine in engines) >= 10
     for engine in engines:
         for n in range(1, 6):
             words = basis_Pn(n)
@@ -171,6 +171,24 @@ def test_sampled_columns_match_evaluator_oracle(engine_for):
                 assert Subspace.from_vectors(len(words), pivots) == (
                     Subspace.from_vectors(len(words), expected.kept)
                 ), (engine.algebra.labels, n, mode)
+
+
+def test_sampled_columns_stop_drawing_at_full_rank(monkeypatch):
+    # sl2 has c_3 = 2 = (3-1)!, so a few tuples of a sample of 10^9
+    # reach full rank, and the tuple that does is the last one drawn
+    drawn = []
+    tuple_columns = CodimEngine._tuple_columns
+
+    def counting(engine, words, tup):
+        drawn.append(tup)
+        return tuple_columns(engine, words, tup)
+
+    monkeypatch.setattr(CodimEngine, "_tuple_columns", counting)
+    engine = CodimEngine(catalog_algebra("sl2"))
+    assert engine.sampled_columns(3, SampledMode(10**9)).rank == 2
+    used = len(drawn)
+    assert 0 < used < 100
+    assert engine.sampled_columns(3, SampledMode(used - 1)).rank < 2
 
 
 def test_unknown_mode_is_rejected(engine_for):
@@ -611,7 +629,7 @@ def test_find_nonzero_matches_permutation_oracle(engine_for):
             moved = change_basis(algebra, random_invertible(rng, algebra.dim))
             cases.append((CodimEngine(moved), 4))
     cases.append((CodimEngine(sl2_over_sqrt2()), 4))
-    assert sum(engine._content_ranks.scale > 1 for engine, _ in cases) >= 10
+    assert sum(engine.scale > 1 for engine, _ in cases) >= 10
     outcomes = []
     for engine, n_max in cases:
         checker, evaluator = _AlternatedChecker(engine), Evaluator(engine.algebra)

@@ -22,8 +22,8 @@ from picodim.errors import (
     NotSemisimpleError,
     NotSplitError,
 )
-from picodim.liealg import centroid, is_solvable, nilpotency_class
-from picodim.linalg import Subspace, is_zero_vec, mat_mul, unit_vec, vec
+from picodim.liealg import _minimal_polynomial, centroid, is_solvable, nilpotency_class
+from picodim.linalg import Subspace, is_zero_vec, mat_mul, matrix, unit_vec, vec
 
 from helpers import (
     direct_sum,
@@ -281,6 +281,18 @@ def test_non_split_component_raises():
         randomized_simple_decomposition(algebra, 0)
 
 
+def test_minimal_polynomial_hand_values():
+    cases = [
+        ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [-1, 1]),  # I: x - 1
+        ([[1, 0, 0], [0, 2, 0], [0, 0, 2]], [2, -3, 1]),  # x^2 - 3x + 2
+        ([[0, 1, 0], [0, 0, 1], [0, 0, 0]], [0, 0, 0, 1]),  # J_3(0): x^3
+        ([[2, 1], [0, 2]], [4, -4, 1]),  # x^2 - 4x + 4
+        ([[0, 0], [0, 0]], [0, 1]),  # the zero matrix: x
+    ]
+    for rows, expected in cases:
+        assert _minimal_polynomial(matrix(rows), len(rows)) == expected
+
+
 def test_components_bracket_structure():
     # [G_i, G_j] = 0 for i != j and [G_i, G_i] = G_i, inside the quotient
     for name in ("sl2", "sl2_plus_sl2", "gl2", "sl2_natural", "sl2_adjoint"):
@@ -333,12 +345,18 @@ def test_direct_sum_component_multisets_combine():
 
 
 def test_lift_is_a_section_of_the_quotient_map():
-    for name in ("gl2", "sl2_natural", "sl2_adjoint"):
-        report = analyze(catalog_algebra(name))
+    # the base change puts N off the coordinate axes, so the projection's
+    # echelon residual clears nonzero multiples of N's rows
+    rng = random.Random(7)
+    natural = catalog_algebra("sl2_natural")
+    mixed = change_basis(natural, random_invertible(rng, natural.dim))
+    algebras = [catalog_algebra(name) for name in ("gl2", "sl2_natural", "sl2_adjoint")]
+    for algebra in algebras + [mixed]:
+        report = analyze(algebra)
         for k in range(report.quotient_dim):
             g = unit_vec(report.quotient_dim, k)
             assert report.project_to_quotient(report.lift(g)) == g
-        for v in report.nilradical_basis:
+        for v in report.nilradical.basis:
             assert is_zero_vec(report.project_to_quotient(v))
 
 
