@@ -19,15 +19,16 @@ mode.  Decisions evaluate there and never eliminate:
 `CodimEngine.is_identity` evaluates f through the kernel's content-1^n
 words (in exact mode f is an identity iff that value is zero, char 0),
 and `CodimEngine.sampled_columns` ranks the columns at the same sampled
-tuples for a sampled c_n.  `_AlternatedChecker.scan` checks every
-alternation under the same exact budget, or a sample.
+tuples for a sampled c_n.  `_AlternatedChecker.scan` checks the
+alternations of every basis word on one family of sets under the same
+exact budget, or a sample of (word, family) items.
 `CodimEngine.cocharacter` has no sampled mode, so m_lambda and l_n are
 always exact.  For `capelli_holds`, `exponent.verify_upper` and
 `exponent.find_lower_witness` the scan evaluates alternations on
 strictly increasing basis assignments of each set, summing every set
-permutation in one signed pass over the word with the kernel's integer
-brackets.  Exact verdicts are proofs; sampled mode only refutes, so its
-c_n is a lower bound.
+permutation at every choice of set values in one signed pass over the
+word with the kernel's integer brackets.  Exact verdicts are proofs;
+sampled mode only refutes, so its c_n is a lower bound.
 """
 
 from __future__ import annotations
@@ -511,10 +512,10 @@ class _AlternatedChecker:
     alternation vanishes whenever a set repeats a value and only changes
     sign when set values are permuted, so scanning strictly increasing
     basis assignments per set is equivalent to the full tuple sweep.
-    The sum over the set permutations at one assignment is taken by a
-    signed pass over the word (`find_nonzero`), in the integer brackets
-    of the scaled basis that the engine holds, so no word value is
-    cached.
+    The sums over the set permutations at every assignment are taken by
+    one signed pass over the word (`find_nonzero`), in the integer
+    brackets of the scaled basis that the engine holds, so no word value
+    is cached.
     """
 
     def __init__(self, engine: CodimEngine):
@@ -525,96 +526,84 @@ class _AlternatedChecker:
 
         The assignment maps each set's variables, in the order given, to
         a strictly increasing tuple of basis indices, and each free
-        variable to any basis index; the first nonzero one is returned in
-        the order of set values by `product(combinations(range(p), r))`,
-        then free values by `product(range(p))`, with the alternated
-        word's value there.  For each choice of set values one signed
-        pass walks the word from its innermost letter outward: a state
-        is the mask of the values each set has used plus the free values
-        met, and carries the integer value (scaled basis) of the suffix
-        summed over every way to reach it.  Placing value c of a set
-        contributes (-1)^(used values of that set above c), so a finished
-        state carries the sum over the set permutations, up to the sign
-        of the order in which the word meets each set's variables."""
+        variable to any basis index; the first nonzero one, ordered by
+        the sorted values of each set and then the free values, is
+        returned with the alternated word's value there.  One signed pass
+        walks the word from its innermost letter outward: a state is the
+        values each set has used plus the free values met, and carries
+        the integer value (scaled basis) of the suffix summed over every
+        way to reach it.  Placing value c of a set contributes
+        (-1)^(used values of that set above c), so a finished state
+        carries the sum over the set permutations at its values, up to
+        the sign of the order in which the word meets each set's
+        variables."""
         engine = self.engine
-        p, brackets = engine.p, engine.brackets
-        r, n = len(sets[0]), len(word)
+        p, brackets, n = engine.p, engine.brackets, len(word)
         slot = {v: (s, i) for s, vs in enumerate(sets) for i, v in enumerate(vs)}
         free = [v for v in range(1, n + 1) if v not in slot]
-        walk = word[::-1]  # innermost letter first
-        # a key holds bit s*r + i when set s has used its i-th value, and
-        # the t-th free value met in the digit of width `width` above them
-        width, free_base = p.bit_length(), len(sets) * r
-        # the letters' order signs, and each free variable's digit
-        order_sign, met, digit = 1, [[] for _ in sets], {}
-        for v in walk:
+        # a key holds bit s*p + c when set s has used value c, and the
+        # t-th free value met in the digit of width `width` above them
+        width, free_base = p.bit_length(), len(sets) * p
+        # per letter, innermost first: (key bits, mask of the set's larger
+        # values, c), and the letters' order signs
+        order_sign, met, digit, steps = 1, [[] for _ in sets], {}, []
+        for v in reversed(word):
             if v in slot:
                 s, i = slot[v]
                 order_sign *= (-1) ** sum(j > i for j in met[s])
                 met[s].append(i)
+                low = s * p
+                steps.append([(1 << (low + c), ((1 << p) - (2 << c)) << low, c)
+                              for c in range(p)])
             else:
                 digit[v] = free_base + len(digit) * width
-        free_steps = {
-            v: [(c << digit[v], 0, c) for c in range(p)] for v in free
-        }
-        full = (1 << width) - 1
+                steps.append([(c << digit[v], 0, c) for c in range(p)])
+        states = {bit: [int(l == c) for l in range(p)] for bit, _, c in steps[0]}
+        for branches in steps[1:]:
+            nxt: dict[int, list[int]] = {}
+            for key, value in states.items():
+                for bit, above, c in branches:
+                    if key & bit:
+                        continue
+                    row = brackets[c]
+                    acc = nxt.get(key | bit)
+                    if acc is None:
+                        acc = nxt[key | bit] = [0] * p
+                    negate = (key & above).bit_count() & 1
+                    for k, x in enumerate(value):
+                        if x:
+                            if negate:
+                                x = -x
+                            for l, y in row[k]:
+                                acc[l] += x * y
+            states = {key: acc for key, acc in nxt.items() if any(acc)}
+            if not states:
+                return None
+
+        def values(key):  # (sorted values of each set, free values)
+            return (tuple(tuple(c for c in range(p) if key >> (s * p + c) & 1)
+                          for s in range(len(sets))),
+                    tuple((key >> digit[v]) & ((1 << width) - 1) for v in free))
+
+        key = min(states, key=values)
+        set_vals, free_vals = values(key)
+        assign = {}
+        for s, vals in zip(sets, set_vals):
+            assign.update(zip(s, vals))
+        assign.update(zip(free, free_vals))
         scale = Fraction(order_sign, engine.scale ** (n - 1))
-        for set_vals in itertools.product(
-            itertools.combinations(range(p), r), repeat=len(sets)
-        ):
-            # per letter: (key bit, mask bits of the set's larger values, c)
-            steps = []
-            for v in walk:
-                if v not in slot:
-                    steps.append(free_steps[v])
-                    continue
-                s, _ = slot[v]
-                steps.append([
-                    (1 << (s * r + j), ((1 << r) - (2 << j)) << (s * r), c)
-                    for j, c in enumerate(set_vals[s])
-                ])
-            states = {}
-            for bit, _, c in steps[0]:
-                states[bit] = [int(l == c) for l in range(p)]
-            for branches in steps[1:]:
-                nxt: dict[int, list[int]] = {}
-                for key, value in states.items():
-                    for bit, above, c in branches:
-                        if key & bit:
-                            continue
-                        row = brackets[c]
-                        acc = nxt.get(key | bit)
-                        if acc is None:
-                            acc = nxt[key | bit] = [0] * p
-                        negate = (key & above).bit_count() & 1
-                        for k, x in enumerate(value):
-                            if x:
-                                if negate:
-                                    x = -x
-                                for l, y in row[k]:
-                                    acc[l] += x * y
-                states = {key: acc for key, acc in nxt.items() if any(acc)}
-                if not states:
-                    break
-            if states:
-                free_vals, key = min(
-                    (tuple((key >> digit[v]) & full for v in free), key)
-                    for key in states
-                )
-                assign = {}
-                for s, vals in zip(sets, set_vals):
-                    assign.update(zip(s, vals))
-                assign.update(zip(free, free_vals))
-                return assign, tuple(scale * x for x in states[key])
-        return None
+        return assign, tuple(scale * x for x in states[key])
 
     def scan(self, n: int, r: int, k: int, mode: Mode,
              budget: int | None = None):
         """(checks, exhaustive, hit) over the alternations of every basis
         word of P_n on every way to pick k disjoint alternating r-sets;
         hit is the first nonzero (word, sets, assignment, value) or None.
-        Exact mode streams the items; sampled mode checks `mode.count` of
-        them drawn at random."""
+        Exact mode streams the words on the first family of sets only:
+        S_n permutes the families transitively and fixes the identities
+        of P_n, so any family has a hit iff the first has, and the first
+        hit of the families-outermost order lies in it.  Sampled mode
+        checks `mode.count` items drawn at random from every family."""
         nwords = dim_Pn(n)
         population = _assignment_count(n, r, k) * nwords
         total, exhaustive = population, True
@@ -638,11 +627,8 @@ class _AlternatedChecker:
             # r slots alternated over dim L basis values repeat one
             return total, exhaustive, None
         if exhaustive:
-            items = (
-                (w, sets)
-                for sets in _set_assignments(n, r, k)
-                for w in iter_basis_Pn(n)
-            )
+            first = next(_set_assignments(n, r, k))
+            items = ((w, first) for w in iter_basis_Pn(n))
         else:
             if population > sys.maxsize:
                 raise BudgetExceededError(
@@ -667,4 +653,4 @@ class _AlternatedChecker:
             found = self.find_nonzero(word, sets)
             if found is not None:
                 return checks, exhaustive, (word, sets) + found
-        return checks, exhaustive, None
+        return total, exhaustive, None

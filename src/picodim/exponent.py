@@ -11,7 +11,9 @@ The upper-bound mechanism checks that every multilinear polynomial
 with nilpotency-class many disjoint alternating sets of size d+1 is an
 identity; the lower bound searches for explicit non-identities with
 alternating sets of size d.  Both run `evaluation._AlternatedChecker.scan`,
-which enumerates (or samples) the set assignments and basis words.
+which checks every basis word on one family of disjoint sets (any family
+decides, as S_n permutes them and fixes the identities), or samples
+(word, family) items.
 """
 
 from __future__ import annotations
@@ -234,11 +236,12 @@ def verify_upper(
     """Check that alternations on k disjoint (d+1)-sets are identities.
 
     The alternated images of canonical basis words over all set
-    assignments span the degree-n part of the multialternating space, so
-    a full pass proves the vanishing statement at this degree.  Each
-    individual check is exhaustive over basis tuples.  `budget` caps
-    the checks; an exact pass also needs its dim(L)^n generic points
-    within the engine's budget.
+    assignments span the degree-n part of the multialternating space, and
+    S_n carries the words on one family of sets to those on any other,
+    so a full pass over one family proves the vanishing statement at
+    this degree.  Each individual check is exhaustive over basis
+    tuples.  `budget` caps the checks; an exact pass also needs its
+    dim(L)^n generic points within the engine's budget.
     """
     engine = engine or CodimEngine(algebra)
     checks, exhaustive, hit = _AlternatedChecker(engine).scan(

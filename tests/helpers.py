@@ -4,9 +4,10 @@ Everything here is deliberately independent of the library internals it
 checks: direct tree evaluation, brute-force tableau counting, an
 exhaustive bracketing enumeration for the exponent candidate, the
 symbolic Capelli check that the alternated-identity scan replaced, the
-listed sample that its index sampling replaced, the permutation sum that
-its signed pass replaced, the random centroid
-element that the joint-eigenspace split replaced, the multilinear
+listed sample that its index sampling replaced, the all-families stream
+that its one-family exact scan replaced, the permutation sum and the
+per-choice signed pass that its one signed pass replaced, the random
+centroid element that the joint-eigenspace split replaced, the multilinear
 tuple sweep, Young symmetrizer loop and Fraction elimination that
 multihomogeneous ranks replaced in exact codimensions and cocharacters,
 the `Evaluator` word-cache loop that the kernel replaced in sampled
@@ -241,6 +242,81 @@ def listed_sample_scan(engine: CodimEngine, n: int, r: int, k: int,
         if found is not None:
             return checks, exhaustive, (word, sets) + found
     return len(items), exhaustive, None
+
+
+def all_families_scan(engine: CodimEngine, n: int, r: int, k: int):
+    """Oracle for exhaustive `_AlternatedChecker.scan`: checks every basis
+    word on every family of k disjoint r-sets, families outermost, where
+    the scan checks the first family only."""
+    checker, checks = _AlternatedChecker(engine), 0
+    for sets in _set_assignments(n, r, k):
+        for word in basis_Pn(n):
+            checks += 1
+            found = checker.find_nonzero(word, sets)
+            if found is not None:
+                return checks, True, (word, sets) + found
+    return checks, True, None
+
+
+def choice_pass_find_nonzero(engine: CodimEngine, word, sets):
+    """Oracle for `_AlternatedChecker.find_nonzero`: one signed pass for
+    each choice of set values, in `product(combinations(range(p), r))`
+    order, with a key bit s*r + j when set s has used its j-th value;
+    the first choice with a nonzero state gives the hit, at its least
+    free values."""
+    p, brackets = engine.p, engine.brackets
+    r, n = len(sets[0]), len(word)
+    slot = {v: (s, i) for s, vs in enumerate(sets) for i, v in enumerate(vs)}
+    free = [v for v in range(1, n + 1) if v not in slot]
+    walk = word[::-1]
+    width, free_base = p.bit_length(), len(sets) * r
+    order_sign, met, digit = 1, [[] for _ in sets], {}
+    for v in walk:
+        if v in slot:
+            s, i = slot[v]
+            order_sign *= (-1) ** sum(j > i for j in met[s])
+            met[s].append(i)
+        else:
+            digit[v] = free_base + len(digit) * width
+    full = (1 << width) - 1
+    scale = Fraction(order_sign, engine.scale ** (n - 1))
+    for set_vals in itertools.product(
+        itertools.combinations(range(p), r), repeat=len(sets)
+    ):
+        steps = []
+        for v in walk:
+            if v not in slot:
+                steps.append([(c << digit[v], 0, c) for c in range(p)])
+                continue
+            s, _ = slot[v]
+            steps.append([
+                (1 << (s * r + j), ((1 << r) - (2 << j)) << (s * r), c)
+                for j, c in enumerate(set_vals[s])
+            ])
+        states = {bit: [int(l == c) for l in range(p)] for bit, _, c in steps[0]}
+        for branches in steps[1:]:
+            nxt = {}
+            for key, value in states.items():
+                for bit, above, c in branches:
+                    if key & bit:
+                        continue
+                    acc = nxt.setdefault(key | bit, [0] * p)
+                    sign = -1 if (key & above).bit_count() & 1 else 1
+                    for kk, x in enumerate(value):
+                        for l, y in brackets[c][kk]:
+                            acc[l] += sign * x * y
+            states = {key: acc for key, acc in nxt.items() if any(acc)}
+        if states:
+            free_vals, key = min(
+                (tuple((key >> digit[v]) & full for v in free), key)
+                for key in states
+            )
+            assign = {}
+            for s, vals in zip(sets, set_vals):
+                assign.update(zip(s, vals))
+            assign.update(zip(free, free_vals))
+            return assign, tuple(scale * x for x in states[key])
+    return None
 
 
 def permutation_find_nonzero(evaluator: Evaluator, word, sets):

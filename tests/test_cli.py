@@ -84,6 +84,17 @@ def test_verify_upper_and_find_witness_commands():
     assert payload["found"] is True and payload["degree"] <= 5
 
 
+def test_verify_upper_sl2_natural_defaults_pass_exactly():
+    # the defaults are the paper's parameters: r = d + 1, k = nil class
+    code, payload = invoke_json("verify-upper", "sl2_natural", "--no-cache")
+    assert code == 0
+    assert {key: payload[key] for key in ("r", "k", "n", "passed", "checks",
+                                          "coverage", "counterexample")} == {
+        "r": 4, "k": 2, "n": 8, "passed": True, "checks": 176400,
+        "coverage": "full", "counterexample": None,
+    }
+
+
 def test_growth_command_csv_format():
     code, text = invoke("growth", "sl2", "--max-n", "3", "--format", "csv",
                         "--no-cache")

@@ -39,6 +39,8 @@ from picodim.linalg import is_zero_vec, kernel, rank_exact, unit_vec
 from picodim.symgroup import partitions
 
 from helpers import (
+    all_families_scan,
+    choice_pass_find_nonzero,
     evaluator_sampled_columns,
     listed_sample_scan,
     multilinear_columns,
@@ -648,6 +650,60 @@ def test_find_nonzero_matches_permutation_oracle(engine_for):
                                 ), (engine.algebra.labels, word, order)
                                 outcomes.append(found is not None)
     assert sum(outcomes) > 1000 and outcomes.count(False) > 200
+
+
+def test_find_nonzero_matches_choice_pass_and_permutation_oracles(engine_for):
+    # the one signed pass against the per-choice pass it replaced and the
+    # permutation sum, on every word in both set orders, where several
+    # choices of set values hit and the least one must be returned
+    rng = random.Random(14)
+    for name in ("sl2_natural", "sl2_adjoint"):
+        engine = engine_for(name)
+        checker, evaluator = _AlternatedChecker(engine), Evaluator(engine.algebra)
+        outcomes, past_first_choice = [], 0
+        for n in range(1, 6):
+            words = basis_Pn(n)
+            for k in (1, 2):
+                for r in range(1, min(engine.p, n // k) + 1):
+                    families = list(_set_assignments(n, r, k))
+                    for sets in {families[0], rng.choice(families)}:
+                        for order in (sets, tuple(s[::-1] for s in sets)):
+                            for word in words:
+                                found = checker.find_nonzero(word, order)
+                                assert found == choice_pass_find_nonzero(
+                                    engine, word, order
+                                ) == permutation_find_nonzero(
+                                    evaluator, word, order
+                                ), (name, word, order)
+                                outcomes.append(found is not None)
+                                if found and any(
+                                    sorted(found[0][v] for v in s) != list(range(r))
+                                    for s in order
+                                ):
+                                    past_first_choice += 1
+        assert sum(outcomes) > 500 and outcomes.count(False) > 80, name
+        assert past_first_choice > 20, name
+
+
+def test_one_family_scan_matches_all_families_oracle(engine_for):
+    # S_n permutes the families of disjoint sets transitively, so the
+    # first family decides the scan: same checks, verdict and first hit
+    passes = 0
+    for name in CATALOG_NAMES:
+        engine = engine_for(name)
+        checker = _AlternatedChecker(engine)
+        for n in range(1, 7):
+            for r in range(1, min(engine.p, n) + 1):
+                for k in range(1, n // r + 1):
+                    expected = all_families_scan(engine, n, r, k)
+                    population = len(list(_set_assignments(n, r, k))) * len(basis_Pn(n))
+                    for mode in (ExactMode(), SampledMode(population, 3),
+                                 SampledMode(population + 5, 4)):
+                        assert checker.scan(n, r, k, mode) == expected, (
+                            name, n, r, k, mode
+                        )
+                    passes += expected[2] is None
+    assert passes > 20
 
 
 def test_engine_evaluates_no_cached_words(monkeypatch):

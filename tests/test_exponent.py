@@ -145,6 +145,16 @@ def test_verify_upper_sl2_minimal_degrees(engine_for):
         assert verdict.counterexample is None
 
 
+def test_verify_upper_sl2_natural_at_the_papers_parameters(engine_for):
+    # d + 1 = 4 and nilpotency class k = 2 at n = r*k = 8: every word on
+    # one family of two disjoint 4-sets is checked, and the count is the
+    # full population C(8,4)*C(4,4)/2! * 7! = 176400
+    engine = engine_for("sl2_natural")
+    verdict = verify_upper(engine.algebra, QPolySpec(r=4, k=2, n=8), engine=engine)
+    assert verdict.passed and verdict.exhaustive
+    assert verdict.checks == 176400 and verdict.counterexample is None
+
+
 def test_verify_upper_abelian_trivially_passes():
     algebra = catalog_algebra("abelian3")
     verdict = verify_upper(algebra, QPolySpec(r=2, k=1, n=2))
