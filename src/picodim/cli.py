@@ -462,9 +462,9 @@ def _dispatch(args, config: RunConfig) -> dict:
 
     if args.command == "find-witness":
         report = pi_exponent_candidate(algebra)
-        r = args.r if args.r is not None else report.d
-        if r < 1:
+        if args.r is None and report.d < 1:
             raise HypothesisFailure("exponent candidate is 0: no witness search")
+        r = args.r if args.r is not None else report.d
         n_max = args.max_n if args.max_n is not None else r * args.k + 2
         witness = find_lower_witness(algebra, r, args.k, n_max, engine=engine)
         if witness is None:

@@ -19,9 +19,9 @@ mode.  Decisions evaluate there and never eliminate:
 `CodimEngine.is_identity` evaluates f through the kernel's content-1^n
 words (in exact mode f is an identity iff that value is zero, char 0),
 and `CodimEngine.sampled_columns` ranks the columns at the same sampled
-tuples for a sampled c_n.  `_AlternatedChecker.scan` checks the
-alternations of every basis word on one family of sets under the same
-exact budget, or a sample of (word, family) items.
+tuples for a sampled c_n.  `_AlternatedChecker.scan` alternates on the
+first family of sets only: it checks every basis word there under the
+same exact budget, or a sample of random orderings of the variables.
 `CodimEngine.cocharacter` has no sampled mode, so m_lambda and l_n are
 always exact.  For `capelli_holds`, `exponent.verify_upper` and
 `exponent.find_lower_witness` the scan evaluates alternations on
@@ -47,7 +47,6 @@ from .freelie import (
     basis_Pn,
     dim_Pn,
     iter_basis_Pn,
-    nth_basis_word,
 )
 from .liealg import LieAlgebra
 from .linalg import Vector, is_zero_vec, vec_add, vec_scale, zero_vec
@@ -484,29 +483,13 @@ def _alternating_contents(parts: tuple[int, ...]) -> list[tuple[int, tuple[int, 
     return out
 
 
-def _set_assignments(n: int, r: int, k: int):
-    """All ways to pick k disjoint r-subsets of {1..n}, order-free."""
-
-    def descend(available, chosen, min_first):
-        if len(chosen) == k:
-            yield tuple(chosen)
-            return
-        for combo in itertools.combinations(available, r):
-            if combo[0] < min_first:
-                continue  # fix increasing first elements to kill set-order dups
-            rest = [v for v in available if v not in combo]
-            yield from descend(rest, chosen + [combo], combo[0])
-
-    yield from descend(list(range(1, n + 1)), [], 0)
-
-
 def _assignment_count(n: int, r: int, k: int) -> int:
-    """Length of `_set_assignments(n, r, k)`."""
+    """The number of families of k disjoint r-subsets of {1..n}, unordered."""
     return factorial(n) // (factorial(r) ** k * factorial(k) * factorial(n - r * k))
 
 
 class _AlternatedChecker:
-    """Identity decision for alternations of a single basis word.
+    """Identity decision for alternations of single words, and their scan.
 
     Multilinearity reduces identity checking to basis tuples, and the
     alternation vanishes whenever a set repeats a value and only changes
@@ -596,61 +579,58 @@ class _AlternatedChecker:
 
     def scan(self, n: int, r: int, k: int, mode: Mode,
              budget: int | None = None):
-        """(checks, exhaustive, hit) over the alternations of every basis
-        word of P_n on every way to pick k disjoint alternating r-sets;
-        hit is the first nonzero (word, sets, assignment, value) or None.
-        Exact mode streams the words on the first family of sets only:
+        """(checks, exhaustive, hit) over alternations of degree-n words on
+        the first family F0 = ((1..r), (r+1..2r), ...) of k disjoint
+        r-sets; hit is the first nonzero (word, sets, assignment, value)
+        or None.  A full pass (exact mode, or a sample of at least (n-1)!
+        checks) takes every basis word within the engine's dim(L)^n
+        budget and reports the population of (basis word, family) items:
         S_n permutes the families transitively and fixes the identities
-        of P_n, so any family has a hit iff the first has, and the first
-        hit of the families-outermost order lies in it.  Sampled mode
-        checks `mode.count` items drawn at random from every family."""
-        nwords = dim_Pn(n)
-        population = _assignment_count(n, r, k) * nwords
-        total, exhaustive = population, True
-        if isinstance(mode, ExactMode):
-            # exact evaluation's one budget unit: dim(L)^n points at degree n
-            self.engine._require_budget([(1,) * n])
-        elif isinstance(mode, SampledMode):
-            if mode.count < population:
-                total, exhaustive = mode.count, False
-        else:
+        of P_n, so F0 has a hit iff any family has, and the first hit of
+        the families-outermost order lies in it.  A smaller sample checks
+        `mode.count` random orderings of x_1..x_n, drawn one at a time,
+        the same check as a random item: a relabelling tau with
+        tau(F) = F0 carries w on F to tau(w) on F0, and the signed pass
+        sees only which set each letter is in.  `budget` caps the checks
+        run, (n-1)! or `mode.count`."""
+        if not isinstance(mode, (ExactMode, SampledMode)):
             raise MalformedInputError(
                 "alternation checks support exact or sampled mode"
             )
-        if budget is not None and total > budget:
+        nwords = dim_Pn(n)
+        exhaustive = isinstance(mode, ExactMode) or mode.count >= nwords
+        if exhaustive:
+            # exact evaluation's one budget unit: dim(L)^n points at degree n
+            self.engine._require_budget([(1,) * n])
+        runs = nwords if exhaustive else mode.count
+        if budget is not None and runs > budget:
             raise BudgetExceededError(
-                f"{count_text(total)} alternation checks exceed budget "
+                f"{count_text(runs)} alternation checks exceed budget "
                 f"{count_text(budget)}",
-                required=total,
+                required=runs,
             )
+        population = _assignment_count(n, r, k) * nwords
+        total = population if exhaustive else runs
         if r > self.engine.p:
             # r slots alternated over dim L basis values repeat one
             return total, exhaustive, None
+        first = tuple(tuple(range(s * r + 1, s * r + r + 1)) for s in range(k))
         if exhaustive:
-            first = next(_set_assignments(n, r, k))
-            items = ((w, first) for w in iter_basis_Pn(n))
+            words = iter_basis_Pn(n)
         else:
+            # the only bound on a sampled check's size, whose signed pass
+            # grows with n: unrefused, capelli sl2 --t 2 --n 40 would walk
+            # on the order of 3^38 states per check
             if population > sys.maxsize:
                 raise BudgetExceededError(
                     f"{count_text(population)} alternation checks are too "
                     f"many to sample from (at most {sys.maxsize})",
                     required=population,
                 )
-            # positions in the exact order above, drawn as if from its list
-            positions = random.Random(mode.seed).sample(range(population), total)
-            wanted = {i // nwords for i in positions}
-            assignments = {
-                j: sets for j, sets in enumerate(_set_assignments(n, r, k))
-                if j in wanted
-            }
-            items = (
-                (nth_basis_word(n, i % nwords), assignments[i // nwords])
-                for i in positions
-            )
-        checks = 0
-        for word, sets in items:
-            checks += 1
-            found = self.find_nonzero(word, sets)
+            rng = random.Random(mode.seed)
+            words = (tuple(rng.sample(range(1, n + 1), n)) for _ in range(runs))
+        for checks, word in enumerate(words, 1):
+            found = self.find_nonzero(word, first)
             if found is not None:
-                return checks, exhaustive, (word, sets) + found
+                return checks, exhaustive, (word, first) + found
         return total, exhaustive, None

@@ -11,9 +11,9 @@ The upper-bound mechanism checks that every multilinear polynomial
 with nilpotency-class many disjoint alternating sets of size d+1 is an
 identity; the lower bound searches for explicit non-identities with
 alternating sets of size d.  Both run `evaluation._AlternatedChecker.scan`,
-which checks every basis word on one family of disjoint sets (any family
-decides, as S_n permutes them and fixes the identities), or samples
-(word, family) items.
+which alternates on one family of disjoint sets (any family decides, as
+S_n permutes them and fixes the identities): it checks every basis word,
+or a sample of random orderings of the variables.
 """
 
 from __future__ import annotations
@@ -240,8 +240,10 @@ def verify_upper(
     S_n carries the words on one family of sets to those on any other,
     so a full pass over one family proves the vanishing statement at
     this degree.  Each individual check is exhaustive over basis
-    tuples.  `budget` caps the checks; an exact pass also needs its
-    dim(L)^n generic points within the engine's budget.
+    tuples.  `budget` caps the checks the scan runs: the (n-1)! basis
+    words of a full pass, or `mode.count` sampled orderings.  A full
+    pass also needs its dim(L)^n generic points within the engine's
+    budget.
     """
     engine = engine or CodimEngine(algebra)
     checks, exhaustive, hit = _AlternatedChecker(engine).scan(

@@ -54,16 +54,6 @@ def iter_basis_Pn(n: int):
     return (perm + (n,) for perm in itertools.permutations(range(1, n)))
 
 
-def nth_basis_word(n: int, index: int) -> Word:
-    """`basis_Pn(n)[index]`, read off the factorial-base digits of index."""
-    letters = list(range(1, n))
-    word = []
-    for place in range(n - 2, -1, -1):
-        digit, index = divmod(index, factorial(place))
-        word.append(letters.pop(digit))
-    return tuple(word) + (n,)
-
-
 class MultilinearPolynomial:
     """Sparse rational combination of canonical basis words of one degree."""
 

@@ -4,15 +4,15 @@ Everything here is deliberately independent of the library internals it
 checks: direct tree evaluation, brute-force tableau counting, an
 exhaustive bracketing enumeration for the exponent candidate, the
 symbolic Capelli check that the alternated-identity scan replaced, the
-listed sample that its index sampling replaced, the all-families stream
-that its one-family exact scan replaced, the permutation sum and the
-per-choice signed pass that its one signed pass replaced, the random
-centroid element that the joint-eigenspace split replaced, the multilinear
-tuple sweep, Young symmetrizer loop and Fraction elimination that
-multihomogeneous ranks replaced in exact codimensions and cocharacters,
-the `Evaluator` word-cache loop that the kernel replaced in sampled
-columns, and the pairing with kept columns that evaluation replaced in
-identity decisions.
+family lister and a listed sample of drawn orderings for its sampled
+scan, the all-families stream that its one-family exact scan replaced,
+the permutation sum and the per-choice signed pass that its one signed
+pass replaced, the random centroid element that the joint-eigenspace
+split replaced, the multilinear tuple sweep, Young symmetrizer loop and
+Fraction elimination that multihomogeneous ranks replaced in exact
+codimensions and cocharacters, the `Evaluator` word-cache loop that the
+kernel replaced in sampled columns, and the pairing with kept columns
+that evaluation replaced in identity decisions.
 """
 
 from __future__ import annotations
@@ -23,12 +23,7 @@ from fractions import Fraction
 
 from picodim import AltSpec, CodimEngine, LieAlgebra, validate
 from picodim.errors import MalformedInputError
-from picodim.evaluation import (
-    Evaluator,
-    SampledMode,
-    _AlternatedChecker,
-    _set_assignments,
-)
+from picodim.evaluation import Evaluator, SampledMode, _AlternatedChecker
 from picodim.freelie import (
     MultilinearPolynomial,
     alternate,
@@ -228,20 +223,39 @@ def symbolic_capelli_holds(engine: CodimEngine, t: int, n: int) -> bool:
     return True
 
 
+def _set_assignments(n: int, r: int, k: int):
+    """All ways to pick k disjoint r-subsets of {1..n}, order-free."""
+
+    def descend(available, chosen, min_first):
+        if len(chosen) == k:
+            yield tuple(chosen)
+            return
+        for combo in itertools.combinations(available, r):
+            if combo[0] < min_first:
+                continue  # fix increasing first elements to kill set-order dups
+            rest = [v for v in available if v not in combo]
+            yield from descend(rest, chosen + [combo], combo[0])
+
+    yield from descend(list(range(1, n + 1)), [], 0)
+
+
 def listed_sample_scan(engine: CodimEngine, n: int, r: int, k: int,
                        mode: SampledMode):
-    """Oracle for sampled `_AlternatedChecker.scan`: lists every
-    (word, sets) item, then samples `mode.count` of them from the list."""
-    items = [(w, sets) for sets in _set_assignments(n, r, k) for w in basis_Pn(n)]
-    exhaustive = mode.count >= len(items)
-    if not exhaustive:
-        items = random.Random(mode.seed).sample(items, mode.count)
+    """Oracle for sampled `_AlternatedChecker.scan`: below (n-1)! checks it
+    lists the `mode.count` orderings of x_1..x_n drawn from the seed, then
+    checks each on the first listed family; at or above, it is the
+    all-families pass."""
+    if mode.count >= len(basis_Pn(n)):
+        return all_families_scan(engine, n, r, k)
+    rng = random.Random(mode.seed)
+    words = [tuple(rng.sample(range(1, n + 1), n)) for _ in range(mode.count)]
+    first = next(_set_assignments(n, r, k))
     checker = _AlternatedChecker(engine)
-    for checks, (word, sets) in enumerate(items, 1):
-        found = checker.find_nonzero(word, sets)
+    for checks, word in enumerate(words, 1):
+        found = checker.find_nonzero(word, first)
         if found is not None:
-            return checks, exhaustive, (word, sets) + found
-    return len(items), exhaustive, None
+            return checks, False, (word, first) + found
+    return len(words), False, None
 
 
 def all_families_scan(engine: CodimEngine, n: int, r: int, k: int):

@@ -168,6 +168,21 @@ def test_hypothesis_failure_exit_code():
     assert payload["error"] == "hypothesis-failure"
 
 
+def test_find_witness_explicit_rank_below_one_is_malformed_input():
+    # only a default r = d(L) = 0 fails the hypotheses; an explicit r < 1
+    # is bad input, whatever d(L) is
+    for r in ("0", "-2"):
+        code, payload = invoke_json("find-witness", "sl2", "--r", r, "--no-cache")
+        assert (code, payload) == (
+            2, {"error": "malformed-input", "message": "need r >= 1"})
+    for name in ("heisenberg3", "abelian3"):
+        code, payload = invoke_json("find-witness", name, "--no-cache")
+        assert (code, payload) == (3, {
+            "error": "hypothesis-failure",
+            "message": "exponent candidate is 0: no witness search",
+        })
+
+
 def test_non_split_component_exit_code(tmp_path):
     path = tmp_path / "sl2_sqrt2.json"
     path.write_text(json.dumps(to_json_dict(sl2_over_sqrt2())))
@@ -182,7 +197,8 @@ def test_budget_exceeded_exit_code():
         ("codim", "sl2", "--n", "5", "--budget", "10"),
         # 324 generic evaluation points
         ("cocharacter", "sl2", "--n", "5", "--budget", "10"),
-        # more alternations than random.sample can index
+        # more alternations than a sample may be drawn from: this refusal
+        # is the only bound on a sampled check's size, 3^38 states here
         ("capelli", "sl2", "--t", "2", "--n", "40", "--mode", "sampled",
          "--samples", "10"),
         # counts past Python's 4300-digit int-to-str limit: 3^10000

@@ -26,7 +26,6 @@ from picodim.evaluation import (
     _AlternatedChecker,
     _alternating_contents,
     _ColumnSpace,
-    _set_assignments,
 )
 from picodim.freelie import (
     MultilinearPolynomial,
@@ -39,6 +38,7 @@ from picodim.linalg import is_zero_vec, kernel, rank_exact, unit_vec
 from picodim.symgroup import partitions
 
 from helpers import (
+    _set_assignments,
     all_families_scan,
     choice_pass_find_nonzero,
     evaluator_sampled_columns,
@@ -586,6 +586,12 @@ def test_capelli_exact_mode_keeps_tuple_budget():
     with pytest.raises(BudgetExceededError) as err:
         engine.capelli_holds(4, 5)
     assert err.value.required == 243
+    # a sample of at least (n-1)! checks is the full pass, and so is
+    # budgeted like it: 6^9 generic points
+    with pytest.raises(BudgetExceededError) as err:
+        CodimEngine(catalog_algebra("sl2_adjoint")).capelli_holds(
+            3, 9, SampledMode(10**15))
+    assert err.value.required == 6**9
 
 
 def test_capelli_sampled_refutes_only_false_checks(engine_for):
@@ -596,8 +602,8 @@ def test_capelli_sampled_refutes_only_false_checks(engine_for):
 
 
 def test_sampled_scan_matches_listed_sample(engine_for):
-    # sampling positions from range(total) draws the same items as
-    # sampling from the listed items, so every answer is unchanged
+    # below (n-1)! checks the scan draws the oracle's orderings lazily and
+    # checks each on the first family; at or above it is the full pass
     for name in ("gl2", "sl2"):
         checker = _AlternatedChecker(engine_for(name))
         for n in range(2, 7):
@@ -613,9 +619,51 @@ def test_sampled_scan_matches_listed_sample(engine_for):
 
 def test_sampled_capelli_at_high_degree_lists_nothing(engine_for):
     sl2 = engine_for("sl2")
-    # 120 * 9! items: the sample is decoded from positions, not a list
+    # 120 * 9! items: the sample draws orderings, it lists no families
     assert not sl2.capelli_holds(3, 10, SampledMode(count=10))
     assert sl2.capelli_holds(4, 12, SampledMode(count=10))
+
+
+def test_sampled_scan_draws_orderings_lazily(engine_for):
+    # 10^12 checks, below 15!: each ordering is drawn when it is checked,
+    # so the first hit ends the scan with no list of draws
+    assert not engine_for("sl2").capelli_holds(3, 16, SampledMode(10**12))
+
+
+def test_find_nonzero_is_invariant_under_relabelling(engine_for):
+    # relabelling the variables by tau carries the alternation of w on S
+    # to that of tau(w) on tau(S), which is why a sample may check random
+    # orderings on the first family in place of (basis word, family)
+    # items; when tau keeps the order of the free variables, the first
+    # hit is the relabelled one, with the same value
+    rng = random.Random(15)
+    natural = catalog_algebra("sl2_natural")
+    engines = [engine_for(name) for name in CATALOG_NAMES]
+    engines.append(CodimEngine(change_basis(
+        natural, random_invertible(rng, natural.dim))))
+    verdicts = hits = 0
+    for engine in engines:
+        checker = _AlternatedChecker(engine)
+        for _ in range(100):
+            n = rng.randint(1, 6)
+            r = rng.randint(1, min(engine.p, n))
+            sets = rng.choice(list(_set_assignments(n, r, rng.randint(1, n // r))))
+            word = rng.choice(basis_Pn(n))
+            tau = dict(zip(range(1, n + 1), rng.sample(range(1, n + 1), n)))
+            free = [v for v in range(1, n + 1) if not any(v in s for s in sets)]
+            if rng.random() < 0.5:
+                tau.update(zip(free, sorted(tau[v] for v in free)))
+            found = checker.find_nonzero(word, sets)
+            moved = checker.find_nonzero(tuple(tau[v] for v in word),
+                                         tuple(tuple(tau[v] for v in s) for s in sets))
+            assert (found is None) == (moved is None), (word, sets, tau)
+            verdicts += 1
+            if found is not None and sorted(tau[v] for v in free) == [
+                    tau[v] for v in free]:
+                assign, value = found
+                assert moved == ({tau[v]: c for v, c in assign.items()}, value)
+                hits += 1
+    assert verdicts == 900 and hits > 300
 
 
 def test_find_nonzero_matches_permutation_oracle(engine_for):
@@ -696,8 +744,10 @@ def test_one_family_scan_matches_all_families_oracle(engine_for):
             for r in range(1, min(engine.p, n) + 1):
                 for k in range(1, n // r + 1):
                     expected = all_families_scan(engine, n, r, k)
-                    population = len(list(_set_assignments(n, r, k))) * len(basis_Pn(n))
-                    for mode in (ExactMode(), SampledMode(population, 3),
+                    nwords = len(basis_Pn(n))
+                    population = len(list(_set_assignments(n, r, k))) * nwords
+                    for mode in (ExactMode(), SampledMode(nwords, 2),
+                                 SampledMode(population, 3),
                                  SampledMode(population + 5, 4)):
                         assert checker.scan(n, r, k, mode) == expected, (
                             name, n, r, k, mode

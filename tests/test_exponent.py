@@ -171,8 +171,11 @@ def test_verify_upper_detects_non_identities(engine_for):
 
 def test_verify_upper_budget():
     algebra = catalog_algebra("sl2")
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(BudgetExceededError):  # 24 basis words
         verify_upper(algebra, QPolySpec(r=4, k=1, n=5), budget=3)
+    # the cap counts the 7! words a pass checks, not its 1058400 items
+    verdict = verify_upper(algebra, QPolySpec(r=2, k=2, n=8))
+    assert not verdict.passed and verdict.checks == 1
 
 
 def test_verify_upper_rank_above_dimension_reports_a_full_pass(engine_for):

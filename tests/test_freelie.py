@@ -10,7 +10,6 @@ from picodim.evaluation import evaluate
 from picodim.freelie import (
     dim_Pn,
     format_word,
-    nth_basis_word,
     rewrite_word,
     tree_from_word,
 )
@@ -32,11 +31,6 @@ def test_basis_small_degrees():
     assert basis_Pn(1) == [(1,)]
     assert basis_Pn(2) == [(1, 2)]
     assert basis_Pn(3) == [(1, 2, 3), (2, 1, 3)]
-
-
-def test_nth_basis_word_indexes_the_basis():
-    for n in range(1, 7):
-        assert [nth_basis_word(n, i) for i in range(dim_Pn(n))] == basis_Pn(n)
 
 
 def test_basis_rejects_degree_zero():
