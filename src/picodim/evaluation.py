@@ -255,18 +255,15 @@ class CodimEngine:
     def __init__(self, algebra: LieAlgebra, tuple_budget: int = DEFAULT_TUPLE_BUDGET):
         self.algebra = algebra
         self.tuple_budget = tuple_budget
-        p = self.p = algebra.dim
+        self.p = algebra.dim
         scale = self.scale = lcm(
             *(c.denominator for v in algebra.table.values() for c in v)
         )
-        # [e_j, e_k] of the scaled basis, as (l, integer coefficient) pairs
+        # [e_j, e_k] of the scaled basis, as (l, integer coefficient) pairs,
+        # from the algebra's structure constants
         self.brackets = [
-            [
-                [(l, int(c * scale))
-                 for l, c in enumerate(algebra.bracket_basis(j, k)) if c]
-                for k in range(p)
-            ]
-            for j in range(p)
+            [[(l, int(c * scale)) for l, c in entries] for entries in row]
+            for row in algebra.constants
         ]
         self._ranks: dict[tuple[int, ...], int] = {}
 

@@ -109,9 +109,10 @@ def height_spans(report: StructureReport) -> HeightSpanTable:
 
     def add(subset, vector, expr) -> bool:
         span = spans.get(subset, Subspace.zero(algebra.dim))
-        if is_zero_vec(vector) or span.contains(vector):
+        residual = span.reduce(vector)
+        if is_zero_vec(residual):
             return False
-        spans[subset] = span.add(Subspace.from_vectors(algebra.dim, [vector]))
+        spans[subset] = span.insert(residual)
         gens.setdefault(subset, []).append((vector, expr))
         return True
 

@@ -6,6 +6,12 @@ eigenspaces of the centroid, and adapted bases lifted back into the
 algebra.  Every step is deterministic: a report depends on the
 structure constants alone.
 
+Every step reads one sparse table of structure constants,
+`LieAlgebra.constants`, built once per algebra: a bracket sums over the
+nonzero coordinates of its arguments, the Jacobi check and the Killing
+form kappa_ij = sum c_ik^l c_jl^k multiply constants directly, and the
+centroid writes only the nonzero coefficients of its equations.
+
 Everything is exact.  The quotient's simple components must be split
 over Q; otherwise their dimensions could change under scalar extension
 and we raise NotSplitError instead of reporting a wrong answer.
@@ -26,6 +32,7 @@ from .errors import (
     NotSplitError,
 )
 from .linalg import (
+    ZERO,
     Matrix,
     Subspace,
     Vector,
@@ -37,22 +44,33 @@ from .linalg import (
     mat_vec,
     parse_fraction,
     rank_exact,
+    sparse,
+    sparse_kernel,
     unit_vec,
     vec,
-    vec_add,
-    vec_scale,
-    zero_vec,
 )
 
 
 class LieAlgebra:
-    """Algebra given by [b_i, b_j] for i < j; antisymmetry is implicit."""
+    """Algebra given by [b_i, b_j] for i < j; antisymmetry is implicit.
 
-    __slots__ = ("labels", "table")
+    `constants[i][j]` lists the nonzero (k, c) with [b_i, b_j] having
+    coefficient c on b_k, for every ordered pair (i, j): the one
+    structure-constant table that brackets, ad, the Jacobi check, the
+    Killing form, the centroid and the evaluation kernel read."""
+
+    __slots__ = ("labels", "table", "constants")
 
     def __init__(self, labels: tuple[str, ...], table: dict[tuple[int, int], Vector]):
         self.labels = labels
         self.table = table  # 0-based, i < j
+        n = len(labels)
+        constants = [[()] * n for _ in range(n)]
+        for (i, j), value in table.items():
+            entries = tuple(sparse(value).items())
+            constants[i][j] = entries
+            constants[j][i] = tuple((k, -c) for k, c in entries)
+        self.constants = constants
 
     @property
     def dim(self) -> int:
@@ -62,30 +80,37 @@ class LieAlgebra:
         return unit_vec(self.dim, i)
 
     def bracket_basis(self, i: int, j: int) -> Vector:
-        if i == j:
-            return zero_vec(self.dim)
-        if i < j:
-            return self.table.get((i, j), zero_vec(self.dim))
-        return vec_scale(Fraction(-1), self.table.get((j, i), zero_vec(self.dim)))
+        out = [ZERO] * self.dim
+        for k, c in self.constants[i][j]:
+            out[k] = c
+        return tuple(out)
 
     def bracket(self, x: Vector, y: Vector) -> Vector:
         if len(x) != self.dim or len(y) != self.dim:
             raise MalformedInputError("vector length != algebra dimension")
-        out = list(zero_vec(self.dim))
-        for (i, j), value in self.table.items():
-            c = x[i] * y[j] - x[j] * y[i]
-            if c != 0:
-                for k, v in enumerate(value):
-                    if v != 0:
-                        out[k] += c * v
+        y_entries = tuple(sparse(y).items())
+        out = [ZERO] * self.dim
+        for i, a in enumerate(x):
+            if a:
+                row = self.constants[i]
+                for j, b in y_entries:
+                    entries = row[j]
+                    if entries:
+                        ab = a * b
+                        for k, c in entries:
+                            out[k] += ab * c
         return tuple(out)
 
     def ad(self, x: Vector) -> Matrix:
         """Matrix of bracket(x, .) with columns indexed by the basis."""
-        cols = [self.bracket(x, self.basis_vector(j)) for j in range(self.dim)]
-        return tuple(
-            tuple(cols[j][k] for j in range(self.dim)) for k in range(self.dim)
-        )
+        n = self.dim
+        rows = [[ZERO] * n for _ in range(n)]
+        for i, a in enumerate(x):
+            if a:
+                for j, entries in enumerate(self.constants[i]):
+                    for k, c in entries:
+                        rows[k][j] += a * c
+        return tuple(tuple(r) for r in rows)
 
     def derived_subalgebra(self) -> Subspace:
         return Subspace.from_vectors(self.dim, list(self.table.values()))
@@ -112,35 +137,36 @@ def validate(
         if not is_zero_vec(v):
             clean[(i, j)] = v
     algebra = LieAlgebra(labels, clean)
+    constants = algebra.constants
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
-                bi, bj, bk = (algebra.basis_vector(t) for t in (i, j, k))
-                s = vec_add(
-                    algebra.bracket(algebra.bracket(bi, bj), bk),
-                    vec_add(
-                        algebra.bracket(algebra.bracket(bj, bk), bi),
-                        algebra.bracket(algebra.bracket(bk, bi), bj),
-                    ),
-                )
-                if not is_zero_vec(s):
-                    raise JacobiError((labels[i], labels[j], labels[k]), s)
+                # [[b_i, b_j], b_k] + [[b_j, b_k], b_i] + [[b_k, b_i], b_j]
+                s = [ZERO] * n
+                for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                    for l, x in constants[a][b]:
+                        for m, y in constants[l][c]:
+                            s[m] += x * y
+                if any(s):
+                    raise JacobiError((labels[i], labels[j], labels[k]), tuple(s))
     return algebra
 
 
 def killing_form(algebra: LieAlgebra) -> Matrix:
-    ads = [algebra.ad(algebra.basis_vector(i)) for i in range(algebra.dim)]
+    """kappa_ij = tr(ad b_i ad b_j) = sum over k, l of c_ik^l c_jl^k."""
     n = algebra.dim
-
-    def trace_product(a: Matrix, b: Matrix) -> Fraction:
-        return sum(
-            (a[r][k] * b[k][r] for r in range(n) for k in range(n)),
-            Fraction(0),
-        )
-
-    return tuple(
-        tuple(trace_product(ads[i], ads[j]) for j in range(n)) for i in range(n)
-    )
+    constants = algebra.constants
+    out = [[ZERO] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            s = ZERO
+            for k in range(n):
+                for l, x in constants[i][k]:
+                    for m, y in constants[j][l]:
+                        if m == k:
+                            s += x * y
+            out[i][j] = out[j][i] = s
+    return tuple(tuple(r) for r in out)
 
 
 def _bracket_spans(algebra: LieAlgebra, a: Subspace, b: Subspace) -> Subspace:
@@ -228,24 +254,6 @@ class StructureReport:
         """Section of the quotient map: representative in L of a quotient vector."""
         return _lift(g, self._rep_indices, self.algebra.dim)
 
-    def component_project(self, g: Vector, i: int) -> Vector:
-        """Projection of a quotient vector onto component i along the others."""
-        stacked = tuple(
-            row for comp in self.components for row in comp.subspace.basis
-        )
-        coeffs = mat_vec(invert(tuple(zip(*stacked))), g)
-        out = zero_vec(self.quotient.dim)
-        offset = 0
-        for idx, comp in enumerate(self.components):
-            if idx == i:
-                for c, row in zip(
-                    coeffs[offset : offset + comp.dim], comp.subspace.basis
-                ):
-                    if c != 0:
-                        out = vec_add(out, vec_scale(c, row))
-            offset += comp.dim
-        return out
-
     def __str__(self) -> str:
         dims = [c.dim for c in self.components]
         return (
@@ -259,18 +267,32 @@ def centroid(algebra: LieAlgebra) -> list[Matrix]:
     p = algebra.dim
     if p == 0:
         return []
-    ads = [algebra.ad(algebra.basis_vector(i)) for i in range(p)]
-    # unknowns X[r][c] flattened row-major; equations (X A - A X)[r][c] = 0
+    constants = algebra.constants
+    # unknowns X[r][c] flattened row-major; for g = b_a, with A = ad(b_a)
+    # and A[k][c] = c_ac^k, the equation (X A - A X)[r][c] = 0 has
+    # +A[k][c] on X[r][k] and -A[r][k] on X[k][c]; only nonzero
+    # coefficients are written, and equations with none are dropped
     rows = []
-    for a in ads:
+    for a in range(p):
+        ad_rows = [[] for _ in range(p)]  # ad_rows[r]: the (k, A[r][k]) != 0
+        for k, entries in enumerate(constants[a]):
+            for r, v in entries:
+                ad_rows[r].append((k, v))
         for r in range(p):
             for c in range(p):
-                coeff = [Fraction(0)] * (p * p)
-                for k in range(p):
-                    coeff[r * p + k] += a[k][c]
-                    coeff[k * p + c] -= a[r][k]
-                rows.append(tuple(coeff))
-    null = kernel(tuple(rows), p * p)
+                eq: dict[int, Fraction] = {}
+                for k, v in constants[a][c]:
+                    eq[r * p + k] = v
+                for k, v in ad_rows[r]:
+                    key = k * p + c
+                    x = eq.get(key, ZERO) - v
+                    if x:
+                        eq[key] = x
+                    else:
+                        del eq[key]
+                if eq:
+                    rows.append(eq)
+    null = sparse_kernel(rows, p * p)
     return [
         tuple(tuple(b[r * p + c] for c in range(p)) for r in range(p))
         for b in null.basis

@@ -3,6 +3,15 @@
 Scalars are `fractions.Fraction`.  Matrices are tuples of row tuples.
 Subspaces are stored in reduced row echelon form, which is canonical:
 two generating sets of the same subspace produce identical bases.
+
+Elimination skips zeros: it works on sparse rows, dicts from column to
+nonzero entry, and inserts them one at a time into a fully reduced set
+of pivot rows.  Each inserted row is reduced against the pivot rows,
+its residual is scaled to a leading 1, and its pivot column is cleared
+from the other rows; the pivot rows are then the reduced row echelon
+form of the rows inserted so far, whatever their order.  `mat_mul` and
+`mat_vec` multiply only nonzero entries.  Every vector and matrix these
+functions return holds `Fraction` entries.
 """
 
 from __future__ import annotations
@@ -14,6 +23,10 @@ from .errors import MalformedInputError
 
 Vector = tuple[Fraction, ...]
 Matrix = tuple[Vector, ...]
+SparseRow = dict[int, Fraction]  # column -> nonzero entry
+
+ZERO = Fraction(0)
+ONE = Fraction(1)
 
 
 def vec(entries: Iterable) -> Vector:
@@ -21,11 +34,13 @@ def vec(entries: Iterable) -> Vector:
 
 
 def zero_vec(n: int) -> Vector:
-    return (Fraction(0),) * n
+    return (ZERO,) * n
 
 
 def unit_vec(n: int, i: int) -> Vector:
-    return tuple(Fraction(1 if j == i else 0) for j in range(n))
+    out = [ZERO] * n
+    out[i] = ONE
+    return tuple(out)
 
 
 def vec_add(a: Vector, b: Vector) -> Vector:
@@ -37,7 +52,7 @@ def vec_scale(c: Fraction, a: Vector) -> Vector:
 
 
 def is_zero_vec(a: Vector) -> bool:
-    return all(x == 0 for x in a)
+    return not any(a)
 
 
 def matrix(rows: Iterable[Iterable]) -> Matrix:
@@ -47,36 +62,67 @@ def matrix(rows: Iterable[Iterable]) -> Matrix:
     return m
 
 
-def transpose(m: Matrix) -> Matrix:
-    return tuple(zip(*m)) if m else ()
+def sparse(v: Vector) -> SparseRow:
+    return {j: x for j, x in enumerate(v) if x}
+
+
+def _dense(row: SparseRow, n: int) -> Vector:
+    out = [ZERO] * n
+    for j, x in row.items():
+        out[j] = x
+    return tuple(out)
+
+
+def _subtract(row: SparseRow, f: Fraction, other: SparseRow) -> None:
+    """row -= f * other in place, dropping the entries that cancel."""
+    for j, y in other.items():
+        x = row.get(j)
+        if x is None:
+            row[j] = -f * y
+        else:
+            x -= f * y
+            if x:
+                row[j] = x
+            else:
+                del row[j]
+
+
+def _insert(pivots: dict[int, SparseRow], row: SparseRow) -> bool:
+    """Add `row` (consumed) to the fully reduced pivot rows, keyed by
+    pivot column; False when it is in their span."""
+    for c in [c for c in row if c in pivots]:
+        # pivot rows vanish on the other pivot columns, so each
+        # subtraction clears column c and leaves the others as they were
+        _subtract(row, row[c], pivots[c])
+    if not row:
+        return False
+    lead = min(row)
+    inv = ONE / row[lead]
+    row = {j: x * inv for j, x in row.items()}
+    for other in pivots.values():
+        f = other.get(lead)
+        if f:
+            _subtract(other, f, row)
+    pivots[lead] = row
+    return True
+
+
+def _echelon(rows: Iterable[SparseRow]) -> dict[int, SparseRow]:
+    """Reduced row echelon form of sparse rows (consumed), keyed by pivot
+    column."""
+    pivots: dict[int, SparseRow] = {}
+    for row in rows:
+        _insert(pivots, row)
+    return pivots
 
 
 def rref(rows: Sequence[Vector]) -> tuple[Vector, ...]:
     """Reduced row echelon form with pivots normalized to 1; zero rows dropped."""
-    work = [list(r) for r in rows]
-    if not work:
+    if not rows:
         return ()
-    ncols = len(work[0])
-    pivot_row = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(pivot_row, len(work)):
-            if work[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            continue
-        work[pivot_row], work[piv] = work[piv], work[pivot_row]
-        inv = Fraction(1) / work[pivot_row][col]
-        work[pivot_row] = [inv * x for x in work[pivot_row]]
-        for r in range(len(work)):
-            if r != pivot_row and work[r][col] != 0:
-                f = work[r][col]
-                work[r] = [x - f * y for x, y in zip(work[r], work[pivot_row])]
-        pivot_row += 1
-        if pivot_row == len(work):
-            break
-    return tuple(tuple(r) for r in work[:pivot_row] if any(x != 0 for x in r))
+    pivots = _echelon(sparse(r) for r in rows)
+    ncols = len(rows[0])
+    return tuple(_dense(pivots[c], ncols) for c in sorted(pivots))
 
 
 def rank_exact(m: Matrix) -> int:
@@ -91,13 +137,16 @@ def rank(m: Matrix) -> int:
 
 class Subspace:
     """A subspace of Q^n held as a reduced-echelon basis (canonical), so
-    two subspaces are equal iff their ambients and bases are."""
+    two subspaces are equal iff their ambients and bases are.  The basis
+    rows are also kept sparse, keyed by pivot column, once `reduce` or
+    `insert` needs them."""
 
-    __slots__ = ("ambient", "basis")
+    __slots__ = ("ambient", "basis", "_pivots")
 
     def __init__(self, ambient: int, basis: Matrix):
         self.ambient = ambient
         self.basis = basis
+        self._pivots: dict[int, SparseRow] | None = None
 
     def __eq__(self, other):
         if other.__class__ is not Subspace:
@@ -133,20 +182,43 @@ class Subspace:
     def is_zero(self) -> bool:
         return not self.basis
 
+    def _pivot_rows(self) -> dict[int, SparseRow]:
+        """The basis rows as sparse rows keyed by pivot column (shared:
+        do not modify)."""
+        if self._pivots is None:
+            self._pivots = {}
+            for row in self.basis:
+                entries = sparse(row)
+                self._pivots[min(entries)] = entries
+        return self._pivots
+
     def reduce(self, v: Vector) -> Vector:
         """Residual of v after subtracting its projection onto the basis rows."""
         if len(v) != self.ambient:
             raise MalformedInputError("vector length != ambient dimension")
         w = list(v)
-        for row in self.basis:
-            lead = next(i for i, x in enumerate(row) if x != 0)
-            if w[lead] != 0:
-                f = w[lead]
-                w = [x - f * y for x, y in zip(w, row)]
+        for c, row in self._pivot_rows().items():
+            f = w[c]
+            if f:
+                for j, y in row.items():
+                    w[j] -= f * y
         return tuple(w)
 
     def contains(self, v: Vector) -> bool:
         return is_zero_vec(self.reduce(v))
+
+    def insert(self, v: Vector) -> "Subspace":
+        """The span of this subspace and v; pass a residual of `reduce`
+        to reduce only once."""
+        if len(v) != self.ambient:
+            raise MalformedInputError("vector length != ambient dimension")
+        pivots = {c: dict(row) for c, row in self._pivot_rows().items()}
+        if not _insert(pivots, sparse(v)):
+            return self
+        out = Subspace(self.ambient,
+                       tuple(_dense(pivots[c], self.ambient) for c in sorted(pivots)))
+        out._pivots = pivots
+        return out
 
     def add(self, other: "Subspace") -> "Subspace":
         if self.ambient != other.ambient:
@@ -165,20 +237,6 @@ class Subspace:
         inter = [r[n:] for r in reduced if is_zero_vec(r[:n])]
         return Subspace.from_vectors(n, inter)
 
-    def coordinates(self, v: Vector) -> Vector | None:
-        """Coefficients of v in the echelon basis, or None if v is outside."""
-        w = list(v)
-        coeffs = []
-        for row in self.basis:
-            lead = next(i for i, x in enumerate(row) if x != 0)
-            c = w[lead]
-            coeffs.append(c)
-            if c != 0:
-                w = [x - c * y for x, y in zip(w, row)]
-        if any(x != 0 for x in w):
-            return None
-        return tuple(coeffs)
-
 
 def span_add(a: Subspace, b: Subspace) -> Subspace:
     return a.add(b)
@@ -186,17 +244,22 @@ def span_add(a: Subspace, b: Subspace) -> Subspace:
 
 def kernel(m: Matrix, ncols: int) -> Subspace:
     """Right null space {x : m @ x = 0} as a subspace of Q^ncols."""
-    reduced = rref(m)
-    pivots = []
-    for row in reduced:
-        pivots.append(next(i for i, x in enumerate(row) if x != 0))
-    free = [c for c in range(ncols) if c not in pivots]
+    return sparse_kernel((sparse(r) for r in m), ncols)
+
+
+def sparse_kernel(rows: Iterable[SparseRow], ncols: int) -> Subspace:
+    """`kernel` of a matrix given by its sparse rows (consumed)."""
+    pivots = _echelon(rows)
     basis = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for row, pc in zip(reduced, pivots):
-            v[pc] = -row[f]
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = [ZERO] * ncols
+        v[f] = ONE
+        for c, row in pivots.items():
+            x = row.get(f)
+            if x:
+                v[c] = -x
         basis.append(tuple(v))
     return Subspace.from_vectors(ncols, basis)
 
@@ -218,14 +281,30 @@ def invert(m: Matrix) -> Matrix:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    bt = transpose(b)
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
+    ncols = len(b[0]) if b else 0
+    b_rows = [tuple(sparse(row).items()) for row in b]
+    out = []
+    for row in a:
+        acc = [ZERO] * ncols
+        for k, x in enumerate(row):
+            if x:
+                for j, y in b_rows[k]:
+                    acc[j] += x * y
+        out.append(tuple(acc))
+    return tuple(out)
 
 
 def mat_vec(a: Matrix, v: Vector) -> Vector:
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+    entries = tuple(sparse(v).items())
+    out = []
+    for row in a:
+        s = ZERO
+        for j, y in entries:
+            x = row[j]
+            if x:
+                s += x * y
+        out.append(s)
+    return tuple(out)
 
 
 def format_fraction(x: Fraction) -> str:

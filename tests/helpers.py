@@ -43,6 +43,7 @@ from picodim.linalg import (
     invert,
     is_zero_vec,
     mat_mul,
+    mat_vec,
     rank_exact,
     vec_add,
     vec_scale,
@@ -509,3 +510,167 @@ def symmetrizer_cocharacter(engine: CodimEngine, n: int) -> dict:
                 break
         out[shape.parts] = len(image.kept)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Dense structure layer: the Fraction bracket, Jacobi check, Killing form,
+# centroid equations and row reduction that the sparse constants replaced
+
+
+def dense_rref(rows):
+    """Reduced row echelon form by dense Gauss-Jordan elimination; zero
+    rows dropped."""
+    work = [list(r) for r in rows]
+    if not work:
+        return ()
+    ncols = len(work[0])
+    pivot_row = 0
+    for col in range(ncols):
+        piv = None
+        for r in range(pivot_row, len(work)):
+            if work[r][col] != 0:
+                piv = r
+                break
+        if piv is None:
+            continue
+        work[pivot_row], work[piv] = work[piv], work[pivot_row]
+        inv = Fraction(1) / work[pivot_row][col]
+        work[pivot_row] = [inv * x for x in work[pivot_row]]
+        for r in range(len(work)):
+            if r != pivot_row and work[r][col] != 0:
+                f = work[r][col]
+                work[r] = [x - f * y for x, y in zip(work[r], work[pivot_row])]
+        pivot_row += 1
+        if pivot_row == len(work):
+            break
+    return tuple(tuple(r) for r in work[:pivot_row] if any(x != 0 for x in r))
+
+
+def dense_kernel(m, ncols: int):
+    """Echelon basis of the right null space of m, by `dense_rref`."""
+    reduced = dense_rref(m)
+    pivots = [next(i for i, x in enumerate(row) if x != 0) for row in reduced]
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for row, pc in zip(reduced, pivots):
+            v[pc] = -row[f]
+        basis.append(tuple(v))
+    return dense_rref(basis)
+
+
+def dense_bracket(algebra: LieAlgebra, x, y):
+    """[x, y] summed over every entry of the i < j table, zeros included."""
+    out = [Fraction(0)] * algebra.dim
+    for (i, j), value in algebra.table.items():
+        c = x[i] * y[j] - x[j] * y[i]
+        if c != 0:
+            for k, v in enumerate(value):
+                if v != 0:
+                    out[k] += c * v
+    return tuple(out)
+
+
+def _basis(algebra: LieAlgebra, i: int):
+    return tuple(Fraction(int(j == i)) for j in range(algebra.dim))
+
+
+def dense_ad(algebra: LieAlgebra, x):
+    n = algebra.dim
+    cols = [dense_bracket(algebra, x, _basis(algebra, j)) for j in range(n)]
+    return tuple(tuple(cols[j][k] for j in range(n)) for k in range(n))
+
+
+def dense_jacobi_failure(algebra: LieAlgebra):
+    """The first basis triple i < j < k whose Jacobi sum is nonzero, as
+    (label triple, residual), or None."""
+    n = algebra.dim
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                bi, bj, bk = (_basis(algebra, t) for t in (i, j, k))
+                s = vec_add(
+                    dense_bracket(algebra, dense_bracket(algebra, bi, bj), bk),
+                    vec_add(
+                        dense_bracket(algebra, dense_bracket(algebra, bj, bk), bi),
+                        dense_bracket(algebra, dense_bracket(algebra, bk, bi), bj),
+                    ),
+                )
+                if not is_zero_vec(s):
+                    labels = algebra.labels
+                    return (labels[i], labels[j], labels[k]), s
+    return None
+
+
+def dense_killing_form(algebra: LieAlgebra):
+    n = algebra.dim
+    ads = [dense_ad(algebra, _basis(algebra, i)) for i in range(n)]
+    return tuple(
+        tuple(
+            sum((ads[i][r][k] * ads[j][k][r] for r in range(n) for k in range(n)),
+                Fraction(0))
+            for j in range(n)
+        )
+        for i in range(n)
+    )
+
+
+def dense_centroid_equations(algebra: LieAlgebra):
+    """The p^3 dense rows (X ad(b_a) - ad(b_a) X)[r][c] over the
+    unknowns X[r][c], flattened row-major, zero rows included."""
+    p = algebra.dim
+    rows = []
+    for a in (dense_ad(algebra, _basis(algebra, i)) for i in range(p)):
+        for r in range(p):
+            for c in range(p):
+                coeff = [Fraction(0)] * (p * p)
+                for k in range(p):
+                    coeff[r * p + k] += a[k][c]
+                    coeff[k * p + c] -= a[r][k]
+                rows.append(tuple(coeff))
+    return rows
+
+
+def dense_centroid(algebra: LieAlgebra):
+    p = algebra.dim
+    if p == 0:
+        return []
+    null = dense_kernel(dense_centroid_equations(algebra), p * p)
+    return [
+        tuple(tuple(b[r * p + c] for c in range(p)) for r in range(p))
+        for b in null
+    ]
+
+
+def component_project(report: StructureReport, g, i: int):
+    """Projection of a quotient vector onto component i along the others."""
+    stacked = tuple(row for comp in report.components for row in comp.subspace.basis)
+    coeffs = mat_vec(invert(tuple(zip(*stacked))), g)
+    out = zero_vec(report.quotient.dim)
+    offset = 0
+    for idx, comp in enumerate(report.components):
+        if idx == i:
+            for c, row in zip(coeffs[offset: offset + comp.dim], comp.subspace.basis):
+                if c != 0:
+                    out = vec_add(out, vec_scale(c, row))
+        offset += comp.dim
+    return out
+
+
+def coordinates(space: Subspace, v):
+    """Coefficients of v in the echelon basis of `space`, or None if v is
+    outside it."""
+    w = list(v)
+    coeffs = []
+    for row in space.basis:
+        lead = next(i for i, x in enumerate(row) if x != 0)
+        c = w[lead]
+        coeffs.append(c)
+        if c != 0:
+            w = [x - c * y for x, y in zip(w, row)]
+    if any(x != 0 for x in w):
+        return None
+    return tuple(coeffs)

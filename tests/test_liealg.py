@@ -26,6 +26,7 @@ from picodim.liealg import _minimal_polynomial, centroid, is_solvable, nilpotenc
 from picodim.linalg import Subspace, is_zero_vec, mat_mul, matrix, unit_vec, vec
 
 from helpers import (
+    component_project,
     direct_sum,
     random_invertible,
     randomized_simple_decomposition,
@@ -318,7 +319,7 @@ def test_adapted_bases_project_to_single_component():
             for v in comp.lifted_basis:
                 g = report.project_to_quotient(v)
                 for j in range(len(report.components)):
-                    proj = report.component_project(g, j)
+                    proj = component_project(report, g, j)
                     if j == i:
                         assert not is_zero_vec(proj)
                     else:
