@@ -49,8 +49,8 @@ SCHEMA_VERSION = 1
 # provenance and cache keys carry it with the library version, so a
 # changed algorithm never replays a result its predecessor computed.
 ALGORITHMS = {
-    "codim": "multihomogeneous-ranks",
-    "cocharacter": "multihomogeneous-ranks",
+    "codim": "cartan-slice-ranks",
+    "cocharacter": "cartan-slice-ranks",
 }
 
 
@@ -260,8 +260,9 @@ def _global_options() -> argparse.ArgumentParser:
                         help="random seed of sampled mode")
     common.add_argument("--budget", type=int,
                         help="max generic evaluation points of exact "
-                        "evaluation (xi-monomials, summed over the contents "
-                        "mu; dim(L)^n basis tuples at mu = 1^n)")
+                        "evaluation (xi-monomials, summed over the ranked "
+                        "contents mu with x_1 in the Cartan slice; dim(L)^n "
+                        "basis tuples for an alternation scan)")
     common.add_argument("--samples", type=int,
                         help="sample count for sampled mode")
     common.add_argument("--format", choices=["json", "csv", "text"])

@@ -7,28 +7,36 @@ ranks h(mu) that `CodimEngine.rank` computes: S_n-cocharacters are
 GL_m-characters of the relatively free algebra F_m(L) (Berele 1982,
 Drensky 1984), so m_lambda is an alternating sum of the dimensions h(mu)
 of its content-mu parts, each the rank of right-normed words evaluated
-at generic elements, and c_n = sum m_lambda d_lambda.  `_span` is the
-one elimination loop: it feeds distinct columns to `_ColumnSpace`,
-fraction-free over the integers, until the rank is full.  Exact work is
-budgeted in generic evaluation points, sum over the contents mu of
-prod_i C(dim L + mu_i - 1, mu_i), which is dim(L)^n at mu = 1^n.
+at generic elements, and c_n = sum m_lambda d_lambda.  Two exact
+reductions cut that work.  At the generic point the variable of largest
+multiplicity ranges over a Cartan slice, an Engel subalgebra of least
+dimension r found once per engine (`CodimEngine.slice`), in place of L.
+And `cocharacter` ranks nothing for the shapes Lie_n lacks
+(`_lie_absent`), so the content 1^n is ranked only for n <= 2.  `_span`
+is the one elimination loop: it feeds distinct columns to
+`_ColumnSpace`, fraction-free over the integers, until the rank is full.
+Exact m_lambda work is budgeted in generic evaluation points, summed
+over the contents mu that `cocharacter` ranks (`CodimEngine.cost`):
+prod_i C(d_i + mu_i - 1, mu_i), with d_1 = r when mu has two or more
+parts and L has a slice, and d_i = dim L otherwise.
 
 The mode picks only the evaluation points (`CodimEngine._points`): the
-generic point in exact mode, `count` random basis tuples in sampled
-mode.  Decisions evaluate there and never eliminate:
+generic point in exact mode, budgeted as dim(L)^n, `count` random basis
+tuples in sampled mode.  Decisions evaluate there and never eliminate:
 `CodimEngine.is_identity` evaluates f through the kernel's content-1^n
 words (in exact mode f is an identity iff that value is zero, char 0),
 and `CodimEngine.sampled_columns` ranks the columns at the same sampled
 tuples for a sampled c_n.  `_AlternatedChecker.scan` alternates on the
 first family of sets only: it checks every basis word there under the
-same exact budget, or a sample of random orderings of the variables.
-`CodimEngine.cocharacter` has no sampled mode, so m_lambda and l_n are
-always exact.  For `capelli_holds`, `exponent.verify_upper` and
-`exponent.find_lower_witness` the scan evaluates alternations on
-strictly increasing basis assignments of each set, summing every set
-permutation at every choice of set values in one signed pass over the
-word with the kernel's integer brackets.  Exact verdicts are proofs;
-sampled mode only refutes, so its c_n is a lower bound.
+same dim(L)^n budget, or a sample of random orderings of the variables;
+it never builds the slice.  `CodimEngine.cocharacter` has no sampled
+mode, so m_lambda and l_n are always exact.  For `capelli_holds`,
+`exponent.verify_upper` and `exponent.find_lower_witness` the scan
+evaluates alternations on strictly increasing basis assignments of each
+set, summing every set permutation at every choice of set values in one
+signed pass over the word with the kernel's integer brackets.  Exact
+verdicts are proofs; sampled mode only refutes, so its c_n is a lower
+bound.
 """
 
 from __future__ import annotations
@@ -38,6 +46,7 @@ import random
 import sys
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
+from functools import cached_property
 from math import comb, factorial, gcd, lcm
 
 from .errors import BudgetExceededError, MalformedInputError, count_text
@@ -49,7 +58,7 @@ from .freelie import (
     iter_basis_Pn,
 )
 from .liealg import LieAlgebra
-from .linalg import Vector, is_zero_vec, vec_add, vec_scale, zero_vec
+from .linalg import Vector, is_zero_vec, sparse_kernel, vec_add, vec_scale, zero_vec
 from .symgroup import Partition, hook_dim, iter_partitions, partitions
 
 DEFAULT_TUPLE_BUDGET = 500_000
@@ -156,24 +165,53 @@ class _ColumnSpace:
         self.pivots = []  # (lead index, primitive int column)
 
     def insert(self, col) -> bool:
-        w = list(col)
-        for lead, reduced in self.pivots:
-            a = w[lead]
-            if a:
-                b = reduced[lead]
-                g = gcd(a, b)
-                a, b = a // g, b // g
-                w = [b * x - a * y for x, y in zip(w, reduced)]
-        for lead, x in enumerate(w):
-            if x:
-                g = gcd(*w)
-                self.pivots.append((lead, [y // g for y in w]))
-                return True
-        return False
+        return _insert_pivot(self.pivots, col)
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
+
+
+def _insert_pivot(pivots: list, col) -> bool:
+    """Reduce the integer column `col` by the (lead, primitive column)
+    `pivots` and append its residual as a pivot; False when it is in
+    their span."""
+    w = list(col)
+    for lead, reduced in pivots:
+        a = w[lead]
+        if a:
+            b = reduced[lead]
+            g = gcd(a, b)
+            a, b = a // g, b // g
+            w = [b * x - a * y for x, y in zip(w, reduced)]
+    for lead, x in enumerate(w):
+        if x:
+            g = gcd(*w)
+            pivots.append((lead, [y // g for y in w]))
+            return True
+    return False
+
+
+def _nilpotent(rows: list, basis: list) -> bool:
+    """Whether the subalgebra with integer basis `basis` and slice rows
+    `rows` ([s_a, e_k], as in `CodimEngine.slice`) is nilpotent: its
+    lower central series, each term spanned by the brackets of the basis
+    with the last, falls to 0 before two terms agree."""
+    term = basis
+    while term:
+        pivots: list = []
+        for out in rows:
+            for t in term:
+                v = [0] * len(t)
+                for k, tk in enumerate(t):
+                    if tk:
+                        for l, c in out[k]:
+                            v[l] += tk * c
+                _insert_pivot(pivots, v)
+        if len(pivots) == len(term):
+            return False
+        term = [col for _, col in pivots]
+    return True
 
 
 def _span(columns: Iterable, limit: int) -> _ColumnSpace:
@@ -249,6 +287,13 @@ class CodimEngine:
     the xi-monomial prod xi_vj^e is coded as sum e * base^(v*p + j) with
     base = n + 1, so multiplying by xi_vj is one addition.
 
+    When mu has at least two parts, variable 1 (the largest multiplicity)
+    is generic in a Cartan slice H instead of L, x_1 = sum_a xi_1a s_a
+    over a basis of H (`slice`): f(g x) = g f(x) for automorphisms g, the
+    conjugates of a Cartan subalgebra are dense, and the Engel subalgebra
+    H contains one (Barnes 1967), so a multihomogeneous f is an identity
+    iff it vanishes there.
+
     Ranks (c_n, m_lambda) eliminate columns in `_ColumnSpace`; identity
     decisions only evaluate, so they build no column space."""
 
@@ -267,13 +312,97 @@ class CodimEngine:
         ]
         self._ranks: dict[tuple[int, ...], int] = {}
 
+    # -- the Cartan slice -------------------------------------------------
+
+    @cached_property
+    def slice(self) -> list | None:
+        """[s_a, e_k] for an integer basis s_1..s_r of the Cartan slice,
+        indexed [a][k] like `brackets`; None when it is all of L.  Built
+        the first time a rank needs it."""
+        return self._select_slice()
+
+    def _select_slice(self) -> list | None:
+        """The slice rows of a smallest Engel subalgebra ker (ad x)^p over
+        the candidates x, the basis vectors and then the sums of two;
+        None when each is all of L.  The search stops at the first
+        nilpotent one, a Cartan subalgebra, whose dimension (the rank of
+        L) is the least; failing that, ties go to the fewest bracket
+        entries."""
+        p, brackets = self.p, self.brackets
+        smallest, ties = p, []  # the least dimension below p, and its powers
+        for x in itertools.chain(itertools.combinations(range(p), 1),
+                                 itertools.combinations(range(p), 2)):
+            # ad x as sparse rows, squared until its power reaches p
+            power: list[dict[int, int]] = [{} for _ in range(p)]
+            for j in x:
+                for k, entries in enumerate(brackets[j]):
+                    for l, c in entries:
+                        power[l][k] = power[l].get(k, 0) + c
+            for _ in range((p - 1).bit_length()):
+                square = []
+                for row in power:
+                    acc: dict[int, int] = {}
+                    for k, a in row.items():
+                        for j, b in power[k].items():
+                            acc[j] = acc.get(j, 0) + a * b
+                    square.append({j: c for j, c in acc.items() if c})
+                power = square
+            pivots: list = []
+            for row in power:
+                _insert_pivot(pivots, [row.get(k, 0) for k in range(p)])
+            r = p - len(pivots)
+            if r < smallest:
+                smallest, ties = r, [power]
+                rows, basis = self._engel_rows(power)
+                if _nilpotent(rows, basis):
+                    return rows
+            elif r == smallest < p:
+                ties.append(power)
+        if not ties:
+            return None
+        return min((self._engel_rows(power)[0] for power in ties),
+                   key=lambda rows: sum(len(entries) for out in rows for entries in out))
+
+    def _engel_rows(self, power: list[dict[int, int]]) -> tuple[list, list]:
+        """(rows, basis): a primitive integer basis s_1..s_r of the kernel
+        of the sparse rows `power`, and [s_a, e_k] = sum_j s_aj [e_j, e_k]
+        as (l, coefficient) pairs, indexed [a][k]."""
+        p, brackets = self.p, self.brackets
+        basis = []
+        for v in sparse_kernel([dict(row) for row in power], p).basis:
+            den = lcm(*(c.denominator for c in v))
+            w = [c.numerator * (den // c.denominator) for c in v]
+            g = gcd(*w)
+            basis.append([c // g for c in w])
+        rows = []
+        for s in basis:
+            out = []
+            for k in range(p):
+                acc: dict[int, int] = {}
+                for j, sj in enumerate(s):
+                    if sj:
+                        for l, c in brackets[j][k]:
+                            acc[l] = acc.get(l, 0) + sj * c
+                out.append([(l, c) for l, c in acc.items() if c])
+            rows.append(out)
+        return rows, basis
+
+    def _first_rows(self, mu: tuple[int, ...]) -> list:
+        """[y, e_k] for the y that variable 1 of content mu ranges over:
+        the slice's basis when mu has at least two parts and L has a
+        slice, else L's."""
+        if len(mu) > 1 and self.slice is not None:
+            return self.slice
+        return self.brackets
+
     # -- the kernel -------------------------------------------------------
 
     def cost(self, mu: tuple[int, ...]) -> int:
         """Generic evaluation points of content mu: the xi-monomials,
-        prod_i C(p + mu_i - 1, mu_i); p^n at mu = 1^n."""
-        out = 1
-        for part in mu:
+        prod_i C(d_i + mu_i - 1, mu_i), where d_1 = dim H for a sliced mu
+        and d_i = p otherwise."""
+        out = comb(len(self._first_rows(mu)) + mu[0] - 1, mu[0])
+        for part in mu[1:]:
             out *= comb(self.p + part - 1, part)
         return out
 
@@ -298,23 +427,27 @@ class CodimEngine:
         last variable, keyed by word (1-based letters), built outward
         from that letter: a depth-first walk over suffixes, so each
         suffix is evaluated once and only the current path is held; a
-        zero suffix prunes every word that ends in it.  With a basis
-        tuple `point`, variable v is e_{point[v]} instead of generic, so
-        a value's key is its coordinate alone."""
+        zero suffix prunes every word that ends in it.  At the generic
+        point variable 1 ranges over `_first_rows`.  With a basis tuple
+        `point`, variable v is e_{point[v]} instead of generic, so a
+        value's key is its coordinate alone."""
         p, m, n = self.p, len(mu), sum(mu)
-        base = n + 1
-        picks = [range(p)] * m if point is None else [(j,) for j in point]
-        # shift[v][j]: key offset of multiplying by xi_vj (none at a point)
-        shift = [[base ** (v * p + j) * p if point is None else 0 for j in range(p)]
-                 for v in range(m)]
-        # [x_v, e_k] as (key offset, coefficient) pairs
-        terms = [
-            [
-                [(shift[v][j] + l, c) for j in picks[v] for l, c in self.brackets[j][k]]
-                for k in range(p)
+        if point is None:
+            base = n + 1
+            # [x_v, e_k] as (key offset, coefficient) pairs: multiplying by
+            # xi_vj adds base^(v*p + j) * p
+            terms = [
+                [
+                    [(base ** (v * p + j) * p + l, c)
+                     for j, row in enumerate(rows) for l, c in row[k]]
+                    for k in range(p)
+                ]
+                for v, rows in enumerate([self._first_rows(mu)] + [self.brackets] * (m - 1))
             ]
-            for v in range(m)
-        ]
+            start = {base ** ((m - 1) * p + j) * p + j: 1 for j in range(p)}
+        else:
+            terms = [self.brackets[j] for j in point]
+            start = {point[-1]: 1}
         remaining = list(mu)
         remaining[-1] -= 1
         rows: dict[Word, dict[int, int]] = {}
@@ -340,7 +473,7 @@ class CodimEngine:
                     extend(out, (v + 1,) + word, left - 1)
                     remaining[v] += 1
 
-        extend({shift[m - 1][j] + j: 1 for j in picks[m - 1]}, (m,), n - 1)
+        extend(start, (m,), n - 1)
         return rows
 
     def _points(self, n: int, mode: Mode):
@@ -348,7 +481,7 @@ class CodimEngine:
         (None) in exact mode, once its dim(L)^n cost fits the budget; the
         `mode.count` seeded random basis tuples in sampled mode."""
         if isinstance(mode, ExactMode):
-            self._require_budget([(1,) * n])
+            self._require_budget(self.p ** n)
             return [None]
         if isinstance(mode, SampledMode):
             rng, p = random.Random(mode.seed), self.p
@@ -361,11 +494,8 @@ class CodimEngine:
         """The nonzero columns of `words` at the basis tuple `tup`, times D^(n-1)."""
         return _transpose(self._values((1,) * len(tup), tup), words)
 
-    def _require_budget(self, contents: Iterable[tuple[int, ...]]) -> None:
-        """Raise unless the generic evaluation points of the contents,
-        sum of cost(mu), fit the budget; at mu = 1^n they are the dim(L)^n
-        basis tuples."""
-        required = sum(self.cost(mu) for mu in contents)
+    def _require_budget(self, required: int) -> None:
+        """Raise unless `required` generic evaluation points fit the budget."""
         if required > self.tuple_budget:
             raise BudgetExceededError(
                 f"exact evaluation needs {count_text(required)} generic "
@@ -374,8 +504,8 @@ class CodimEngine:
             )
 
     def exhaustive_columns(self, n: int) -> _ColumnSpace:
-        """The content-1^n columns, one for each (basis tuple, coordinate);
-        their rank is c_n."""
+        """The content-1^n columns at the generic point, one for each
+        xi-monomial and coordinate; their rank is c_n."""
         self._points(n, ExactMode())  # the budget of the generic point
         return self._space((1,) * n)
 
@@ -413,33 +543,47 @@ class CodimEngine:
         return {key: x for key, x in out.items() if x}
 
     def is_identity(self, f: MultilinearPolynomial, mode: Mode = ExactMode()) -> bool:
-        """Evaluates f at one generic point in exact mode, which is sound
-        and complete; sampled mode evaluates f at the sampled basis tuples
-        and stops at the first nonzero value, so True means "not
-        refuted"."""
+        """Evaluates f at one generic point in exact mode (x_1 in the
+        slice), which is sound and complete; sampled mode evaluates f at
+        the sampled basis tuples and stops at the first nonzero value, so
+        True means "not refuted"."""
         if f.is_zero():
             return True
         mu = (1,) * f.degree
         return not any(self.pairing(f, self._values(mu, point))
                        for point in self._points(f.degree, mode))
 
+    def _contents(self, n: int) -> Iterator[tuple[int, ...]]:
+        """The contents `cocharacter` ranks, each once: those of the shapes
+        of height <= dim L that Lie_n has.  Shapes come in
+        reverse-lexicographic order and each content dominates its shape,
+        so every shape adds at least itself."""
+        seen = set()
+        for parts in iter_partitions(n, self.p):
+            if not _lie_absent(parts):
+                for _, mu in _alternating_contents(parts):
+                    if mu not in seen:
+                        seen.add(mu)
+                        yield mu
+
     def cocharacter(self, n: int) -> CocharacterTable:
         """m_lambda for every partition of n, read off multihomogeneous
         ranks: m_lambda = sum over sigma in S_m of
-        sgn(sigma) * h(lambda + delta - sigma(delta)), m = height(lambda),
-        and m_lambda = 0 when m > dim L.  There is no sampled mode: a
-        rank over sampled columns bounds each h(mu) from below, but an
-        alternating sum of such bounds bounds nothing."""
-        # the contents of the shapes of height <= dim L (lambda itself
-        # among them) are the partitions of n into at most dim L parts;
-        # each costs at least 1, so budget + 1 of them decide the check
-        self._require_budget(
-            itertools.islice(iter_partitions(n, self.p), self.tuple_budget + 1)
-        )
+        sgn(sigma) * h(lambda + delta - sigma(delta)), m = height(lambda).
+        m_lambda = 0 with no rank when m > dim L or when Lie_n lacks
+        lambda (`_lie_absent`).  There is no sampled mode: a rank over
+        sampled columns bounds each h(mu) from below, but an alternating
+        sum of such bounds bounds nothing."""
+        # each content costs at least 1, so budget + 1 of them decide the check
+        self._require_budget(sum(
+            self.cost(mu)
+            for mu in itertools.islice(self._contents(n), self.tuple_budget + 1)
+        ))
         rows = []
         for shape in partitions(n):
             m = 0
-            if shape.height <= self.p:  # else alternating repeats a basis slot
+            # taller shapes alternate a basis slot twice
+            if shape.height <= self.p and not _lie_absent(shape.parts):
                 m = sum(sign * self.rank(mu)
                         for sign, mu in _alternating_contents(shape.parts))
             rows.append(CocharacterRow(shape, m, hook_dim(shape)))
@@ -478,6 +622,15 @@ def _alternating_contents(parts: tuple[int, ...]) -> list[tuple[int, tuple[int, 
 
     place(0, list(range(m)), 1, [])
     return out
+
+
+def _lie_absent(parts: tuple[int, ...]) -> bool:
+    """Whether Lie_n lacks the shape: (n) with n >= 2, (1^n) with n >= 3,
+    (2,2) and (2,2,2) (Klyachko 1974).  P_n(L) is a quotient of Lie_n,
+    so m_lambda = 0 there."""
+    n = sum(parts)
+    return ((len(parts) == 1 and n >= 2) or (parts[0] == 1 and n >= 3)
+            or parts in ((2, 2), (2, 2, 2)))
 
 
 def _assignment_count(n: int, r: int, k: int) -> int:
@@ -598,7 +751,7 @@ class _AlternatedChecker:
         exhaustive = isinstance(mode, ExactMode) or mode.count >= nwords
         if exhaustive:
             # exact evaluation's one budget unit: dim(L)^n points at degree n
-            self.engine._require_budget([(1,) * n])
+            self.engine._require_budget(self.engine.p ** n)
         runs = nwords if exhaustive else mode.count
         if budget is not None and runs > budget:
             raise BudgetExceededError(

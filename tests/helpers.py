@@ -11,8 +11,11 @@ pass replaced, the random centroid element that the joint-eigenspace
 split replaced, the multilinear tuple sweep, Young symmetrizer loop and
 Fraction elimination that multihomogeneous ranks replaced in exact
 codimensions and cocharacters, the `Evaluator` word-cache loop that the
-kernel replaced in sampled columns, and the pairing with kept columns
-that evaluation replaced in identity decisions.
+kernel replaced in sampled columns, the pairing with kept columns
+that evaluation replaced in identity decisions, the unsliced
+multihomogeneous ranks that the Cartan slice and the skipped Lie-absent
+shapes replaced, and the Kraskiewicz-Weyman count of each shape in
+Lie_n.
 """
 
 from __future__ import annotations
@@ -23,7 +26,14 @@ from fractions import Fraction
 
 from picodim import AltSpec, CodimEngine, LieAlgebra, validate
 from picodim.errors import MalformedInputError
-from picodim.evaluation import Evaluator, SampledMode, _AlternatedChecker
+from picodim.evaluation import (
+    Evaluator,
+    SampledMode,
+    _AlternatedChecker,
+    _alternating_contents,
+    _span,
+    _transpose,
+)
 from picodim.freelie import (
     MultilinearPolynomial,
     alternate,
@@ -147,6 +157,29 @@ def count_standard_tableaux(shape: Partition) -> int:
                 break
         if ok:
             count += 1
+    return count
+
+
+def lie_multiplicity(parts) -> int:
+    """Brute force (Kraskiewicz-Weyman 1987): the multiplicity of the
+    shape in Lie_n is the number of its standard tableaux whose major
+    index, the sum of the i with i + 1 in a lower row than i, is 1 mod n."""
+    n = sum(parts)
+    filled = [0] * len(parts)
+    count = 0
+
+    def place(i: int, last_row: int, major: int):
+        nonlocal count
+        if i > n:
+            count += major % n == 1 % n
+            return
+        for row, length in enumerate(parts):
+            if filled[row] < length and (row == 0 or filled[row - 1] > filled[row]):
+                filled[row] += 1
+                place(i + 1, row, major + (i - 1 if row > last_row > -1 else 0))
+                filled[row] -= 1
+
+    place(1, -1, 0)
     return count
 
 
@@ -674,3 +707,71 @@ def coordinates(space: Subspace, v):
     if any(x != 0 for x in w):
         return None
     return tuple(coeffs)
+
+
+# ---------------------------------------------------------------------------
+# Unsliced kernel: every variable generic in L and every shape of height
+# at most dim L ranked, which the Cartan slice and the skipped Lie-absent
+# shapes replaced in exact ranks, codimensions and cocharacters
+
+
+def unsliced_values(engine: CodimEngine, mu) -> dict:
+    """Oracle for `CodimEngine._values` at the generic point: the nonzero
+    values of the content-mu words ending in the last variable, with
+    every variable generic in L."""
+    p, m, n = engine.p, len(mu), sum(mu)
+    base = n + 1
+    shift = [[base ** (v * p + j) * p for j in range(p)] for v in range(m)]
+    terms = [
+        [[(shift[v][j] + l, c) for j in range(p) for l, c in engine.brackets[j][k]]
+         for k in range(p)]
+        for v in range(m)
+    ]
+    remaining = list(mu)
+    remaining[-1] -= 1
+    rows = {}
+
+    def extend(value, word, left):
+        if not left:
+            rows[word] = value
+            return
+        for v in range(m):
+            if not remaining[v]:
+                continue
+            out = {}
+            for key, c in value.items():
+                k = key % p
+                for offset, s in terms[v][k]:
+                    kk = key - k + offset
+                    out[kk] = out.get(kk, 0) + c * s
+            out = {kk: c for kk, c in out.items() if c}
+            if out:
+                remaining[v] -= 1
+                extend(out, (v + 1,) + word, left - 1)
+                remaining[v] += 1
+
+    extend({shift[m - 1][j] + j: 1 for j in range(p)}, (m,), n - 1)
+    return rows
+
+
+def unsliced_rank(engine: CodimEngine, mu) -> int:
+    """Oracle for `CodimEngine.rank`: h(mu) from `unsliced_values`."""
+    values = unsliced_values(engine, mu)
+    return _span(_transpose(values, list(values)), len(values)).rank
+
+
+def unsliced_cocharacter(engine: CodimEngine, n: int, ranks=None) -> dict:
+    """Oracle for exact `CodimEngine.cocharacter`: {shape parts: m_lambda},
+    the alternating sum of `unsliced_rank` over every shape of height at
+    most dim L, with no budget; `ranks` caches {mu: h(mu)} across calls."""
+    ranks = {} if ranks is None else ranks
+    out = {}
+    for shape in partitions(n):
+        m = 0
+        if shape.height <= engine.p:
+            for sign, mu in _alternating_contents(shape.parts):
+                if mu not in ranks:
+                    ranks[mu] = unsliced_rank(engine, mu)
+                m += sign * ranks[mu]
+        out[shape.parts] = m
+    return out

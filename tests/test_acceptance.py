@@ -26,7 +26,12 @@ from picodim.errors import HypothesisFailure
 from picodim.evaluation import CodimEngine
 from fractions import Fraction
 
-from helpers import bracketing_enumeration_d, count_standard_tableaux, random_invertible
+from helpers import (
+    bracketing_enumeration_d,
+    count_standard_tableaux,
+    multilinear_columns,
+    random_invertible,
+)
 
 
 def report(n, passed, detail):
@@ -107,10 +112,12 @@ def test_criterion_3_e4_cross_check(engine_for):
         engine = engine_for(name)
         for n in range(1, 6):
             table = engine.cocharacter(n)
-            # exact codimension is the cocharacter's own sum, so compare
-            # with the rank of the multilinear (mu = 1^n) columns
-            c = engine.exhaustive_columns(n).rank
-            if table.codimension_sum != c:
+            # exact codimension is the cocharacter's own sum, and the
+            # engine's multilinear (mu = 1^n) columns share its Cartan
+            # slice, so compare both with the rank of the unsliced
+            # multilinear columns over every basis tuple
+            c = len(multilinear_columns(engine, n).kept)
+            if c != table.codimension_sum or c != engine.exhaustive_columns(n).rank:
                 failures.append((name, n, "codimension"))
             if table.colength != sum(r.multiplicity for r in table.rows):
                 failures.append((name, n, "colength"))

@@ -9,7 +9,7 @@ from pathlib import Path
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from picodim import __version__, catalog_algebra, cli, to_json_dict
+from picodim import CodimEngine, __version__, catalog_algebra, cli, to_json_dict
 from picodim.cli import load_algebra, run
 from picodim.errors import (
     BudgetExceededError,
@@ -19,7 +19,7 @@ from picodim.errors import (
     NotSplitError,
 )
 
-from helpers import sl2_over_sqrt2
+from helpers import sl2_over_sqrt2, unsliced_cocharacter
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -195,7 +195,7 @@ def test_non_split_component_exit_code(tmp_path):
 def test_budget_exceeded_exit_code():
     for argv in (
         ("codim", "sl2", "--n", "5", "--budget", "10"),
-        # 324 generic evaluation points
+        # 57 generic evaluation points, x_1 in the 1-dim Cartan slice
         ("cocharacter", "sl2", "--n", "5", "--budget", "10"),
         # more alternations than a sample may be drawn from: this refusal
         # is the only bound on a sampled check's size, 3^38 states here
@@ -384,13 +384,18 @@ def test_cache_entry_of_another_algorithm_misses(tmp_path):
     # wrong answers under keys of earlier algorithms: a cocharacter key
     # without the library version and algorithm id, as written before
     # either entered the key, and a codim key of the multilinear column
-    # rank that exact codim used before multihomogeneous ranks
+    # rank that exact codim used before multihomogeneous ranks, and keys
+    # of the unsliced multihomogeneous ranks
     cache = tmp_path / "cache.jsonl"
     stale = [
         (_stale_key("cocharacter"),
          {"n": 3, "rows": [], "colength": 99, "codimension": 99}),
         (_stale_key("codim", algorithm="multilinear-column-rank", version=__version__),
          {"n": 3, "codimension": 99, "certainty": "exact"}),
+    ] + [
+        (_stale_key(command, algorithm="multihomogeneous-ranks", version=__version__),
+         {"n": 3, "rows": [], "colength": 99, "codimension": 99, "certainty": "exact"})
+        for command in ("cocharacter", "codim")
     ]
     cache.write_text("".join(
         json.dumps({"v": 1, "key": key, "result": result}) + "\n"
@@ -401,7 +406,7 @@ def test_cache_entry_of_another_algorithm_misses(tmp_path):
         assert code == 0 and "cache" not in payload
         assert payload["codimension"] == 2
         assert payload["provenance"]["version"] == __version__
-        assert payload["provenance"]["algorithm"] == "multihomogeneous-ranks"
+        assert payload["provenance"]["algorithm"] == "cartan-slice-ranks"
         code, payload = invoke_json(command, "sl2", "--n", "3", "--cache", str(cache))
         assert code == 0 and payload["cache"] == "hit"
         assert payload["codimension"] == 2
@@ -437,17 +442,49 @@ def test_sampled_mode_gives_exact_cocharacter_and_growth(tmp_path):
     code, fresh = invoke_json(*argv, "--mode", "sampled", "--cache", str(cache))
     assert code == 0 and "cache" not in fresh
     assert fresh == exact
-    assert fresh["provenance"]["algorithm"] == "multihomogeneous-ranks"
+    assert fresh["provenance"]["algorithm"] == "cartan-slice-ranks"
     code, replay = invoke_json(*argv, "--mode", "sampled", "--cache", str(cache))
     assert code == 0 and replay.pop("cache") == "hit"
     assert replay == exact
-    code, payload = invoke_json("cocharacter", "sl2_adjoint", "--n", "7",
+    code, payload = invoke_json("cocharacter", "sl2_adjoint", "--n", "9",
                                 "--mode", "sampled", "--samples", "10",
                                 "--no-cache")
     assert code == 4 and payload["error"] == "budget-exceeded"
-    assert "540618" in payload["message"]
+    assert "868588" in payload["message"]
     growth = ("growth", "sl2", "--max-n", "5", "--no-cache")
     assert invoke(*growth, "--mode", "sampled") == invoke(*growth)
+
+
+def test_cocharacter_sl2_adjoint_degree_seven_fits_the_default_budget():
+    # 59,356 generic evaluation points with x_1 in the 2-dim Cartan slice
+    # and no content 1^7 (540,618 unsliced); the unsliced oracle, which
+    # has no budget, gives the same table
+    code, payload = invoke_json("cocharacter", "sl2_adjoint", "--n", "7", "--no-cache")
+    assert code == 0
+    assert (payload["codimension"], payload["colength"]) == (90, 5)
+    oracle = unsliced_cocharacter(CodimEngine(catalog_algebra("sl2_adjoint")), 7)
+    assert {tuple(r["partition"]): r["multiplicity"] for r in payload["rows"]} == oracle
+
+
+def test_commands_that_rank_nothing_never_build_the_slice(monkeypatch):
+    # alternation scans, sampled columns and structure analysis keep to
+    # the basis brackets
+    def forbidden(engine):
+        raise AssertionError("the Cartan slice was built")
+
+    monkeypatch.setattr(CodimEngine, "_select_slice", forbidden)
+    for argv in (
+        ("capelli", "sl2", "--t", "4", "--n", "5"),
+        ("capelli", "sl2", "--t", "3", "--n", "5"),
+        ("capelli", "gl2", "--t", "3", "--n", "5", "--mode", "sampled"),
+        ("verify-upper", "sl2_adjoint", "--k", "1", "--n", "5"),
+        ("verify-upper", "gl2", "--mode", "sampled", "--samples", "30"),
+        ("find-witness", "sl2_natural", "--k", "2", "--max-n", "6"),
+        ("analyze", "sl2_adjoint"),
+        ("exponent", "sl2_plus_sl2"),
+        ("codim", "sl2_natural", "--n", "5", "--mode", "sampled", "--samples", "50"),
+    ):
+        assert invoke(*argv, "--no-cache")[0] == 0, argv
 
 
 _scalar = (st.none() | st.booleans() | st.integers(-2, 5) | st.text(max_size=3)

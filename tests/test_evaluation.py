@@ -26,6 +26,7 @@ from picodim.evaluation import (
     _AlternatedChecker,
     _alternating_contents,
     _ColumnSpace,
+    _lie_absent,
 )
 from picodim.freelie import (
     MultilinearPolynomial,
@@ -42,6 +43,7 @@ from helpers import (
     all_families_scan,
     choice_pass_find_nonzero,
     evaluator_sampled_columns,
+    lie_multiplicity,
     listed_sample_scan,
     multilinear_columns,
     pairing_is_identity,
@@ -51,6 +53,7 @@ from helpers import (
     sl2_over_sqrt2,
     symbolic_capelli_holds,
     symmetrizer_cocharacter,
+    unsliced_cocharacter,
 )
 
 
@@ -211,12 +214,13 @@ def test_unknown_mode_is_rejected(engine_for):
 
 def test_codimension_budget_exceeded():
     # exact c_n is the cocharacter's sum, so the budget counts the
-    # generic evaluation points of its contents, the partitions of 4
-    # into at most 3 parts
+    # generic evaluation points of the contents it ranks, the partitions
+    # of 4 into at most 3 parts, with x_1 in the 1-dim Cartan slice when
+    # a content has two or more parts: 15 + 3 + 6 + 9
     engine = CodimEngine(catalog_algebra("sl2"), tuple_budget=10)
     with pytest.raises(BudgetExceededError) as err:
         engine.codimension(4)
-    assert err.value.required == 135
+    assert err.value.required == 33
 
 
 def test_codimension_invariant_under_base_change():
@@ -351,8 +355,9 @@ def test_cocharacter_checks_budget_before_listing_tall_shapes(monkeypatch):
         with pytest.raises(BudgetExceededError) as err:
             call(60)
         assert heights == [3]
-        # every partition of 60 into at most 3 parts is a content
-        assert err.value.required == 1322253845
+        # every partition of 60 into at most 3 parts is a content, x_1
+        # in the 1-dim slice when it has two or more parts
+        assert err.value.required == 2871548
 
 
 def test_budget_bounds_the_listing_of_contents(monkeypatch):
@@ -454,10 +459,91 @@ def test_cocharacter_budget_counts_generic_evaluation_points():
     engine = CodimEngine(catalog_algebra("sl2"), tuple_budget=10)
     with pytest.raises(BudgetExceededError) as err:
         engine.cocharacter(5)
-    assert err.value.required == 324
-    # the count is the sum over contents mu of prod C(p + mu_i - 1, mu_i)
-    table = CodimEngine(catalog_algebra("sl2"), tuple_budget=324).cocharacter(5)
+    assert err.value.required == 57
+    # the count is the sum over the ranked contents mu of
+    # prod C(d_i + mu_i - 1, mu_i), d_1 = 1 (the slice) when mu has two
+    # or more parts and d_i = 3 otherwise: 21 + 3 + 6 + 9 + 18
+    table = CodimEngine(catalog_algebra("sl2"), tuple_budget=57).cocharacter(5)
     assert table.codimension_sum == 14
+
+
+def test_sliced_cocharacter_matches_unsliced_oracle(engine_for):
+    # the Cartan slice and the skipped shapes against the kernel they
+    # replaced, table by table and rank by rank: every catalog algebra
+    # for n <= 6, two random base changes of each for n <= 5 (n <= 4 in
+    # dim 6, where one dense table takes the oracle ~10 s), and sl2 over
+    # Q(sqrt 2), whose slice needs no split form
+    rng = random.Random(23)
+    cases = [(engine_for(name), 6) for name in CATALOG_NAMES]
+    for name in CATALOG_NAMES:
+        algebra = catalog_algebra(name)
+        cases += [
+            (CodimEngine(change_basis(algebra, random_invertible(rng, algebra.dim))),
+             5 if algebra.dim < 6 else 4)
+            for _ in range(2)
+        ]
+    cases.append((CodimEngine(sl2_over_sqrt2()), 5))
+    assert sum(engine.slice is not None for engine, _ in cases) == 19
+    for engine, top in cases:
+        ranks = {}
+        for n in range(1, top + 1):
+            table = engine.cocharacter(n)
+            got = {r.shape.parts: r.multiplicity for r in table.rows}
+            assert got == unsliced_cocharacter(engine, n, ranks), (engine.algebra.labels, n)
+        for mu, h in ranks.items():
+            assert engine.rank(mu) == h, (engine.algebra.labels, mu)
+
+
+def test_skipped_shapes_are_those_lie_n_lacks(engine_for):
+    # Klyachko: for n <= 8 the skipped shapes are exactly those with no
+    # standard tableau of major index 1 mod n (Kraskiewicz-Weyman), and
+    # that count bounds every m_lambda, as P_n(L) is a quotient of Lie_n
+    for n in range(1, 9):
+        for shape in partitions(n):
+            assert _lie_absent(shape.parts) == (lie_multiplicity(shape.parts) == 0), shape
+    for name in CATALOG_NAMES:
+        for n in range(1, 7):
+            for row in engine_for(name).cocharacter(n).rows:
+                assert row.multiplicity <= lie_multiplicity(row.shape.parts), (name, row.shape)
+
+
+def test_slice_is_a_cartan_subalgebra_of_basis_vectors(engine_for):
+    # its dimension is the rank of L, in any basis; each catalog slice is
+    # spanned by basis vectors (h; h, z; h1, h2, the Engel subalgebra of
+    # h1 + h2, as no basis vector of sl2_plus_sl2 is regular; h, H; e),
+    # and a nilpotent L has none
+    spans = {"abelian3": None, "heisenberg3": None, "sl2": (1,), "gl2": (1, 3),
+             "sl2_plus_sl2": (1, 4), "sl2_natural": (1,), "sl2_adjoint": (1, 4),
+             "solvable2": (0,)}
+    rng = random.Random(4)
+    for name, span in spans.items():
+        engine = engine_for(name)
+        if span is None:
+            assert engine.slice is None
+            continue
+        assert engine.slice == [engine.brackets[j] for j in span], name
+        algebra = catalog_algebra(name)
+        moved = CodimEngine(change_basis(algebra, random_invertible(rng, algebra.dim)))
+        assert len(moved.slice) == len(span), name
+
+
+def test_slice_without_a_regular_candidate_is_still_exact():
+    # in a basis of ad-nilpotent elements of sl2_plus_sl2 (e, f and
+    # h + e - f in each summand) no basis vector and no sum of two is
+    # regular: the smallest Engel subalgebras are x + sl2 for a regular x
+    # of one summand, of dimension 4 and not nilpotent, so the search
+    # keeps one of them, which still contains a Cartan subalgebra
+    rows = []
+    for offset in (0, 3):
+        for e, h, f in ((1, 0, 0), (0, 0, 1), (1, 1, -1)):
+            row = [Fraction(0)] * 6
+            row[offset:offset + 3] = map(Fraction, (e, h, f))
+            rows.append(tuple(row))
+    engine = CodimEngine(change_basis(catalog_algebra("sl2_plus_sl2"), tuple(rows)))
+    assert len(engine.slice) == 4
+    for n in range(1, 6):
+        got = {r.shape.parts: r.multiplicity for r in engine.cocharacter(n).rows}
+        assert got == unsliced_cocharacter(engine, n), n
 
 
 def test_alternating_contents_match_the_permutation_sum():
@@ -581,7 +667,12 @@ def test_capelli_violation_at_high_degree_is_found_early(engine_for):
     assert not engine_for("sl2").capelli_holds(3, 11)
 
 
-def test_capelli_exact_mode_keeps_tuple_budget():
+def test_capelli_exact_mode_keeps_tuple_budget(monkeypatch):
+    # the scan's budget unit is dim(L)^n, and it never builds the slice
+    def forbidden(engine):
+        raise AssertionError("the Cartan slice was built")
+
+    monkeypatch.setattr(CodimEngine, "_select_slice", forbidden)
     engine = CodimEngine(catalog_algebra("sl2"), tuple_budget=10)
     with pytest.raises(BudgetExceededError) as err:
         engine.capelli_holds(4, 5)
