@@ -114,9 +114,10 @@ class ResultStore:
 
     @staticmethod
     def key(algebra: LieAlgebra, operation: str, params: dict) -> str:
-        import hashlib  # loads OpenSSL; only the cached commands pay for it
-
-        payload = json.dumps(
+        """The canonical JSON of what the result depends on, used as the
+        key itself: it cannot collide, and hashing it would load OpenSSL
+        on every cached run."""
+        return json.dumps(
             {
                 "algebra": to_json_dict(algebra),
                 "op": operation,
@@ -127,7 +128,6 @@ class ResultStore:
             },
             sort_keys=True,
         )
-        return hashlib.sha256(payload.encode()).hexdigest()
 
     def get(self, key: str):
         return self._entries.get(key)

@@ -9,8 +9,9 @@ Drensky 1984), so m_lambda is an alternating sum of the dimensions h(mu)
 of its content-mu parts, each the rank of right-normed words evaluated
 at generic elements, and c_n = sum m_lambda d_lambda.  Two exact
 reductions cut that work.  At the generic point the variable of largest
-multiplicity ranges over a Cartan slice, an Engel subalgebra of least
-dimension r found once per engine (`CodimEngine.slice`), in place of L.
+multiplicity ranges over a Cartan slice in place of L: the Engel
+subalgebra of least dimension r that `liealg.engel_subalgebra` finds,
+once per engine, and `CodimEngine.slice` holds as integer rows.
 And `cocharacter` ranks nothing for the shapes Lie_n lacks
 (`_lie_absent`), so the content 1^n is ranked only for n <= 2.  `_span`
 is the one elimination loop: it feeds distinct columns to
@@ -57,8 +58,8 @@ from .freelie import (
     dim_Pn,
     iter_basis_Pn,
 )
-from .liealg import LieAlgebra
-from .linalg import Vector, is_zero_vec, sparse_kernel, vec_add, vec_scale, zero_vec
+from .liealg import LieAlgebra, engel_subalgebra
+from .linalg import Vector, is_zero_vec, vec_add, vec_scale, zero_vec
 from .symgroup import Partition, hook_dim, iter_partitions, partitions
 
 DEFAULT_TUPLE_BUDGET = 500_000
@@ -165,53 +166,26 @@ class _ColumnSpace:
         self.pivots = []  # (lead index, primitive int column)
 
     def insert(self, col) -> bool:
-        return _insert_pivot(self.pivots, col)
+        """Reduce the integer column `col` by the pivots and append its
+        residual as a pivot; False when it is in their span."""
+        w = list(col)
+        for lead, reduced in self.pivots:
+            a = w[lead]
+            if a:
+                b = reduced[lead]
+                g = gcd(a, b)
+                a, b = a // g, b // g
+                w = [b * x - a * y for x, y in zip(w, reduced)]
+        for lead, x in enumerate(w):
+            if x:
+                g = gcd(*w)
+                self.pivots.append((lead, [y // g for y in w]))
+                return True
+        return False
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
-
-
-def _insert_pivot(pivots: list, col) -> bool:
-    """Reduce the integer column `col` by the (lead, primitive column)
-    `pivots` and append its residual as a pivot; False when it is in
-    their span."""
-    w = list(col)
-    for lead, reduced in pivots:
-        a = w[lead]
-        if a:
-            b = reduced[lead]
-            g = gcd(a, b)
-            a, b = a // g, b // g
-            w = [b * x - a * y for x, y in zip(w, reduced)]
-    for lead, x in enumerate(w):
-        if x:
-            g = gcd(*w)
-            pivots.append((lead, [y // g for y in w]))
-            return True
-    return False
-
-
-def _nilpotent(rows: list, basis: list) -> bool:
-    """Whether the subalgebra with integer basis `basis` and slice rows
-    `rows` ([s_a, e_k], as in `CodimEngine.slice`) is nilpotent: its
-    lower central series, each term spanned by the brackets of the basis
-    with the last, falls to 0 before two terms agree."""
-    term = basis
-    while term:
-        pivots: list = []
-        for out in rows:
-            for t in term:
-                v = [0] * len(t)
-                for k, tk in enumerate(t):
-                    if tk:
-                        for l, c in out[k]:
-                            v[l] += tk * c
-                _insert_pivot(pivots, v)
-        if len(pivots) == len(term):
-            return False
-        term = [col for _, col in pivots]
-    return True
 
 
 def _span(columns: Iterable, limit: int) -> _ColumnSpace:
@@ -289,10 +263,11 @@ class CodimEngine:
 
     When mu has at least two parts, variable 1 (the largest multiplicity)
     is generic in a Cartan slice H instead of L, x_1 = sum_a xi_1a s_a
-    over a basis of H (`slice`): f(g x) = g f(x) for automorphisms g, the
-    conjugates of a Cartan subalgebra are dense, and the Engel subalgebra
-    H contains one (Barnes 1967), so a multihomogeneous f is an identity
-    iff it vanishes there.
+    over a basis of H (`slice`, from `liealg.engel_subalgebra`):
+    f(g x) = g f(x) for automorphisms g, the conjugates of a Cartan
+    subalgebra are dense, and the Engel subalgebra H contains one
+    (Barnes 1967), so a multihomogeneous f is an identity iff it
+    vanishes there.
 
     Ranks (c_n, m_lambda) eliminate columns in `_ColumnSpace`; identity
     decisions only evaluate, so they build no column space."""
@@ -322,70 +297,30 @@ class CodimEngine:
         return self._select_slice()
 
     def _select_slice(self) -> list | None:
-        """The slice rows of a smallest Engel subalgebra ker (ad x)^p over
-        the candidates x, the basis vectors and then the sums of two;
-        None when each is all of L.  The search stops at the first
-        nilpotent one, a Cartan subalgebra, whose dimension (the rank of
-        L) is the least; failing that, ties go to the fewest bracket
-        entries."""
-        p, brackets = self.p, self.brackets
-        smallest, ties = p, []  # the least dimension below p, and its powers
-        for x in itertools.chain(itertools.combinations(range(p), 1),
-                                 itertools.combinations(range(p), 2)):
-            # ad x as sparse rows, squared until its power reaches p
-            power: list[dict[int, int]] = [{} for _ in range(p)]
-            for j in x:
-                for k, entries in enumerate(brackets[j]):
-                    for l, c in entries:
-                        power[l][k] = power[l].get(k, 0) + c
-            for _ in range((p - 1).bit_length()):
-                square = []
-                for row in power:
-                    acc: dict[int, int] = {}
-                    for k, a in row.items():
-                        for j, b in power[k].items():
-                            acc[j] = acc.get(j, 0) + a * b
-                    square.append({j: c for j, c in acc.items() if c})
-                power = square
-            pivots: list = []
-            for row in power:
-                _insert_pivot(pivots, [row.get(k, 0) for k in range(p)])
-            r = p - len(pivots)
-            if r < smallest:
-                smallest, ties = r, [power]
-                rows, basis = self._engel_rows(power)
-                if _nilpotent(rows, basis):
-                    return rows
-            elif r == smallest < p:
-                ties.append(power)
-        if not ties:
+        """The slice rows of `liealg.engel_subalgebra`, for the primitive
+        integer vectors s_a of its reduced echelon basis: [s_a, e_k] =
+        sum_j s_aj [e_j, e_k] as (l, coefficient) pairs, indexed [a][k];
+        None when it has none.  Scaling the basis by D scales ad x, so
+        the kernel's coordinates are the same in either basis."""
+        engel = engel_subalgebra(self.algebra)
+        if engel is None:
             return None
-        return min((self._engel_rows(power)[0] for power in ties),
-                   key=lambda rows: sum(len(entries) for out in rows for entries in out))
-
-    def _engel_rows(self, power: list[dict[int, int]]) -> tuple[list, list]:
-        """(rows, basis): a primitive integer basis s_1..s_r of the kernel
-        of the sparse rows `power`, and [s_a, e_k] = sum_j s_aj [e_j, e_k]
-        as (l, coefficient) pairs, indexed [a][k]."""
-        p, brackets = self.p, self.brackets
-        basis = []
-        for v in sparse_kernel([dict(row) for row in power], p).basis:
+        rows = []
+        for v in engel.basis:
             den = lcm(*(c.denominator for c in v))
             w = [c.numerator * (den // c.denominator) for c in v]
             g = gcd(*w)
-            basis.append([c // g for c in w])
-        rows = []
-        for s in basis:
+            s = [c // g for c in w]
             out = []
-            for k in range(p):
+            for k in range(self.p):
                 acc: dict[int, int] = {}
                 for j, sj in enumerate(s):
                     if sj:
-                        for l, c in brackets[j][k]:
+                        for l, c in self.brackets[j][k]:
                             acc[l] = acc.get(l, 0) + sj * c
                 out.append([(l, c) for l, c in acc.items() if c])
             rows.append(out)
-        return rows, basis
+        return rows
 
     def _first_rows(self, mu: tuple[int, ...]) -> list:
         """[y, e_k] for the y that variable 1 of content mu ranges over:

@@ -123,18 +123,25 @@ def height_spans(report: StructureReport) -> HeightSpanTable:
         for v in comp.lifted_basis:
             add(frozenset([i]), v, product_leaf(v))
 
+    # semi-naive: a round skips the pairs of generators that both existed
+    # when the previous round began, as that round bracketed them and
+    # spans only grow, so `add` would return False for them
+    seen: dict[frozenset[int], int] = {}  # generators before the last round
     changed = True
     while changed:
         changed = False
+        start = {t: len(g) for t, g in gens.items()}
         keys = list(gens.keys())
         for t1 in keys:
             for t2 in keys:
                 union = t1 | t2
-                for v1, e1 in list(gens.get(t1, ())):
-                    for v2, e2 in list(gens.get(t2, ())):
+                for i, (v1, e1) in enumerate(list(gens.get(t1, ()))):
+                    old = seen.get(t2, 0) if i < seen.get(t1, 0) else 0
+                    for v2, e2 in list(gens.get(t2, ()))[old:]:
                         w = algebra.bracket(v1, v2)
                         if add(union, w, product_node(e1, e2)):
                             changed = True
+        seen = start
     dims = tuple(c.dim for c in report.components)
     return HeightSpanTable(spans, {k: tuple(v) for k, v in gens.items()}, dims)
 

@@ -2,9 +2,10 @@
 
 Structure theory: Killing form, solvable radical, nilpotency class,
 semisimple quotient, decomposition into simple ideals as the joint
-eigenspaces of the centroid, and adapted bases lifted back into the
-algebra.  Every step is deterministic: a report depends on the
-structure constants alone.
+eigenspaces of the centroid, adapted bases lifted back into the
+algebra, and an Engel subalgebra of least dimension, the Cartan slice
+that the evaluation kernel ranks over (`engel_subalgebra`).  Every step
+is deterministic: a report depends on the structure constants alone.
 
 Every step reads one sparse table of structure constants,
 `LieAlgebra.constants`, built once per algebra: a bracket sums over the
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from fractions import Fraction
+from itertools import chain, combinations
 from math import lcm
 
 from .errors import (
@@ -32,6 +34,7 @@ from .errors import (
     NotSplitError,
 )
 from .linalg import (
+    ONE,
     ZERO,
     Matrix,
     Subspace,
@@ -195,6 +198,30 @@ def nilpotency_class(algebra: LieAlgebra, s: Subspace) -> int | None:
         current = nxt
         q += 1
     return q
+
+
+def engel_subalgebra(algebra: LieAlgebra) -> Subspace | None:
+    """An Engel subalgebra L_0(ad x) = ker (ad x)^(2^k), 2^k >= dim L, of
+    least dimension over the candidates x, the basis vectors and then the
+    sums of two; None when each is all of L.
+
+    The search stops at the first nilpotent one: a nilpotent Engel
+    subalgebra is a Cartan subalgebra, and its dimension, the rank of L,
+    is the least an Engel subalgebra has.  Failing that it returns the
+    first of least dimension, which still contains a Cartan subalgebra
+    (Barnes 1967)."""
+    p = algebra.dim
+    best = None
+    for x in chain(combinations(range(p), 1), combinations(range(p), 2)):
+        power = algebra.ad(tuple(ONE if j in x else ZERO for j in range(p)))
+        for _ in range((p - 1).bit_length()):
+            power = mat_mul(power, power)
+        engel = kernel(power, p)
+        if engel.dim < (p if best is None else best.dim):
+            best = engel
+            if nilpotency_class(algebra, engel) is not None:
+                break
+    return best
 
 
 def radical(algebra: LieAlgebra) -> Subspace:

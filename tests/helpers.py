@@ -14,8 +14,10 @@ codimensions and cocharacters, the `Evaluator` word-cache loop that the
 kernel replaced in sampled columns, the pairing with kept columns
 that evaluation replaced in identity decisions, the unsliced
 multihomogeneous ranks that the Cartan slice and the skipped Lie-absent
-shapes replaced, and the Kraskiewicz-Weyman count of each shape in
-Lie_n.
+shapes replaced, the integer slice selection that
+`liealg.engel_subalgebra` replaced, the full rounds that the semi-naive
+`exponent.height_spans` fixpoint replaced, and the Kraskiewicz-Weyman
+count of each shape in Lie_n.
 """
 
 from __future__ import annotations
@@ -23,8 +25,9 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
-from picodim import AltSpec, CodimEngine, LieAlgebra, validate
+from picodim import AltSpec, CodimEngine, LieAlgebra, catalog_algebra, change_basis, validate
 from picodim.errors import MalformedInputError
 from picodim.evaluation import (
     Evaluator,
@@ -41,6 +44,7 @@ from picodim.freelie import (
     signed_set_permutations,
 )
 from picodim.errors import NotSemisimpleError, NotSplitError
+from picodim.exponent import product_leaf, product_node
 from picodim.liealg import (
     StructureReport,
     _minimal_polynomial,
@@ -55,6 +59,7 @@ from picodim.linalg import (
     mat_mul,
     mat_vec,
     rank_exact,
+    sparse_kernel,
     vec_add,
     vec_scale,
     zero_vec,
@@ -136,6 +141,19 @@ def sl2_over_sqrt2() -> LieAlgebra:
                     value[3 * (si + sj) + k] += c
             table[(i, j)] = value
     return validate(("e", "h", "f", "re", "rh", "rf"), table)
+
+
+def ad_nilpotent_sl2_plus_sl2() -> LieAlgebra:
+    """sl2_plus_sl2 in a basis of ad-nilpotent elements, e, f and
+    h + e - f in each summand: no basis vector and no sum of two is
+    regular."""
+    rows = []
+    for offset in (0, 3):
+        for e, h, f in ((1, 0, 0), (0, 0, 1), (1, 1, -1)):
+            row = [Fraction(0)] * 6
+            row[offset:offset + 3] = map(Fraction, (e, h, f))
+            rows.append(tuple(row))
+    return change_basis(catalog_algebra("sl2_plus_sl2"), tuple(rows))
 
 
 def count_standard_tableaux(shape: Partition) -> int:
@@ -775,3 +793,158 @@ def unsliced_cocharacter(engine: CodimEngine, n: int, ranks=None) -> dict:
                 m += sign * ranks[mu]
         out[shape.parts] = m
     return out
+
+
+# ---------------------------------------------------------------------------
+# Integer slice selection: ad x squared in sparse integer rows, ranks and
+# the nilpotency test by fraction-free pivots, ties to the fewest bracket
+# entries, which `liealg.engel_subalgebra` replaced in `CodimEngine.slice`
+
+
+def _insert_pivot(pivots: list, col) -> bool:
+    """Reduce the integer column `col` by the (lead, primitive column)
+    `pivots` and append its residual as a pivot; False when it is in
+    their span."""
+    w = list(col)
+    for lead, reduced in pivots:
+        a = w[lead]
+        if a:
+            b = reduced[lead]
+            g = gcd(a, b)
+            a, b = a // g, b // g
+            w = [b * x - a * y for x, y in zip(w, reduced)]
+    for lead, x in enumerate(w):
+        if x:
+            g = gcd(*w)
+            pivots.append((lead, [y // g for y in w]))
+            return True
+    return False
+
+
+def _nilpotent(rows: list, basis: list) -> bool:
+    """Whether the subalgebra with integer basis `basis` and slice rows
+    `rows` ([s_a, e_k], as in `CodimEngine.slice`) is nilpotent: its
+    lower central series, each term spanned by the brackets of the basis
+    with the last, falls to 0 before two terms agree."""
+    term = basis
+    while term:
+        pivots: list = []
+        for out in rows:
+            for t in term:
+                v = [0] * len(t)
+                for k, tk in enumerate(t):
+                    if tk:
+                        for l, c in out[k]:
+                            v[l] += tk * c
+                _insert_pivot(pivots, v)
+        if len(pivots) == len(term):
+            return False
+        term = [col for _, col in pivots]
+    return True
+
+
+def _engel_rows(engine: CodimEngine, power: list[dict[int, int]]) -> tuple[list, list]:
+    """(rows, basis): a primitive integer basis s_1..s_r of the kernel
+    of the sparse rows `power`, and [s_a, e_k] = sum_j s_aj [e_j, e_k]
+    as (l, coefficient) pairs, indexed [a][k]."""
+    p, brackets = engine.p, engine.brackets
+    basis = []
+    for v in sparse_kernel([dict(row) for row in power], p).basis:
+        den = lcm(*(c.denominator for c in v))
+        w = [c.numerator * (den // c.denominator) for c in v]
+        g = gcd(*w)
+        basis.append([c // g for c in w])
+    rows = []
+    for s in basis:
+        out = []
+        for k in range(p):
+            acc: dict[int, int] = {}
+            for j, sj in enumerate(s):
+                if sj:
+                    for l, c in brackets[j][k]:
+                        acc[l] = acc.get(l, 0) + sj * c
+            out.append([(l, c) for l, c in acc.items() if c])
+        rows.append(out)
+    return rows, basis
+
+
+def integer_slice(engine: CodimEngine) -> list | None:
+    """Oracle for `CodimEngine.slice`: the slice rows of a smallest Engel
+    subalgebra ker (ad x)^p over the candidates x, the basis vectors and
+    then the sums of two; None when each is all of L.  The search stops
+    at the first nilpotent one; failing that, ties go to the fewest
+    bracket entries."""
+    p, brackets = engine.p, engine.brackets
+    smallest, ties = p, []  # the least dimension below p, and its powers
+    for x in itertools.chain(itertools.combinations(range(p), 1),
+                             itertools.combinations(range(p), 2)):
+        # ad x as sparse rows, squared until its power reaches p
+        power: list[dict[int, int]] = [{} for _ in range(p)]
+        for j in x:
+            for k, entries in enumerate(brackets[j]):
+                for l, c in entries:
+                    power[l][k] = power[l].get(k, 0) + c
+        for _ in range((p - 1).bit_length()):
+            square = []
+            for row in power:
+                acc: dict[int, int] = {}
+                for k, a in row.items():
+                    for j, b in power[k].items():
+                        acc[j] = acc.get(j, 0) + a * b
+                square.append({j: c for j, c in acc.items() if c})
+            power = square
+        pivots: list = []
+        for row in power:
+            _insert_pivot(pivots, [row.get(k, 0) for k in range(p)])
+        r = p - len(pivots)
+        if r < smallest:
+            smallest, ties = r, [power]
+            rows, basis = _engel_rows(engine, power)
+            if _nilpotent(rows, basis):
+                return rows
+        elif r == smallest < p:
+            ties.append(power)
+    if not ties:
+        return None
+    return min((_engel_rows(engine, power)[0] for power in ties),
+               key=lambda rows: sum(len(entries) for out in rows for entries in out))
+
+
+# ---------------------------------------------------------------------------
+# Full-round height spans: every pair of generators bracketed in every
+# round, which the semi-naive fixpoint of `exponent.height_spans` replaced
+
+
+def full_round_height_spans(report: StructureReport) -> tuple[dict, dict]:
+    """Oracle for `exponent.height_spans`: (spans, generators) of the
+    fixpoint that brackets every pair of generators in every round."""
+    algebra = report.algebra
+    gens: dict = {}
+    spans: dict = {}
+
+    def add(subset, vector, expr) -> bool:
+        span = spans.get(subset, Subspace.zero(algebra.dim))
+        residual = span.reduce(vector)
+        if is_zero_vec(residual):
+            return False
+        spans[subset] = span.insert(residual)
+        gens.setdefault(subset, []).append((vector, expr))
+        return True
+
+    empty = frozenset()
+    spans[empty] = Subspace(algebra.dim, report.nilradical.basis)
+    gens[empty] = [(v, product_leaf(v)) for v in report.nilradical.basis]
+    for i, comp in enumerate(report.components):
+        for v in comp.lifted_basis:
+            add(frozenset([i]), v, product_leaf(v))
+    changed = True
+    while changed:
+        changed = False
+        keys = list(gens.keys())
+        for t1 in keys:
+            for t2 in keys:
+                for v1, e1 in list(gens.get(t1, ())):
+                    for v2, e2 in list(gens.get(t2, ())):
+                        if add(t1 | t2, algebra.bracket(v1, v2), product_node(e1, e2)):
+                            changed = True
+    return spans, {k: tuple(v) for k, v in gens.items()}

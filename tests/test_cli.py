@@ -1,4 +1,3 @@
-import hashlib
 import io
 import json
 import os
@@ -359,6 +358,21 @@ def test_cli_import_creates_no_dataclasses_and_loads_no_hashlib():
     assert proc.stdout.strip() == "[]"
 
 
+def test_cached_run_loads_no_hashlib(tmp_path):
+    # the cache key is the canonical JSON itself, so a cached run, a
+    # miss that writes and a hit that replays, never loads OpenSSL
+    script = ("import io, sys; from picodim.cli import run; "
+              f"argv = ['codim', 'sl2', '--n', '3', '--cache', {str(tmp_path / 'c.jsonl')!r}]; "
+              "print([run(argv, io.StringIO()) for _ in range(2)], "
+              "'hashlib' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-S", "-c", script],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[0, 0] False"
+    assert len((tmp_path / "c.jsonl").read_text().splitlines()) == 1
+
+
 def test_removed_options_are_usage_errors():
     # usage errors print JSON too; the last case leaves out the required
     # --n, and the two before it fail RunConfig's check of the values
@@ -373,11 +387,11 @@ def test_removed_options_are_usage_errors():
 
 
 def _stale_key(operation: str, **fields) -> str:
-    return hashlib.sha256(json.dumps(
+    return json.dumps(
         {"algebra": to_json_dict(catalog_algebra("sl2")), "op": operation,
          "params": {"n": 3}, "v": 1, **fields},
         sort_keys=True,
-    ).encode()).hexdigest()
+    )
 
 
 def test_cache_entry_of_another_algorithm_misses(tmp_path):

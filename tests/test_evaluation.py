@@ -40,9 +40,11 @@ from picodim.symgroup import partitions
 
 from helpers import (
     _set_assignments,
+    ad_nilpotent_sl2_plus_sl2,
     all_families_scan,
     choice_pass_find_nonzero,
     evaluator_sampled_columns,
+    integer_slice,
     lie_multiplicity,
     listed_sample_scan,
     multilinear_columns,
@@ -525,6 +527,24 @@ def test_slice_is_a_cartan_subalgebra_of_basis_vectors(engine_for):
         algebra = catalog_algebra(name)
         moved = CodimEngine(change_basis(algebra, random_invertible(rng, algebra.dim)))
         assert len(moved.slice) == len(span), name
+
+
+def test_slice_matches_the_integer_selection_oracle():
+    # liealg.engel_subalgebra against the integer selection it replaced,
+    # row for row: the catalog, three random base changes of each, sl2
+    # over Q(sqrt 2), and the ad-nilpotent basis of sl2_plus_sl2, whose
+    # first smallest Engel subalgebra is also the oracle's sparsest tie
+    rng = random.Random(31)
+    algebras = []
+    for name in CATALOG_NAMES:
+        algebra = catalog_algebra(name)
+        algebras += [algebra] + [change_basis(algebra, random_invertible(rng, algebra.dim))
+                                 for _ in range(3)]
+    algebras += [sl2_over_sqrt2(), ad_nilpotent_sl2_plus_sl2()]
+    assert len(algebras) == 34
+    for algebra in algebras:
+        engine = CodimEngine(algebra)
+        assert engine.slice == integer_slice(engine), algebra.labels
 
 
 def test_slice_without_a_regular_candidate_is_still_exact():

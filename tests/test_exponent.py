@@ -21,11 +21,12 @@ from picodim.errors import (
 )
 from picodim.evaluation import evaluate
 from picodim.exponent import eval_product
+from picodim.liealg import LieAlgebra
 from picodim.linalg import Subspace, is_zero_vec
 
 import random
 
-from helpers import bracketing_enumeration_d, random_invertible
+from helpers import bracketing_enumeration_d, full_round_height_spans, random_invertible
 
 ANALYZABLE = (
     "abelian3",
@@ -69,6 +70,37 @@ def test_height_span_generators_reevaluate_exactly():
             for vector, expr in gens:
                 assert eval_product(algebra, expr) == vector
                 assert span.contains(vector)
+
+
+def test_height_spans_match_the_full_round_fixpoint():
+    # a round skips only the pairs of generators that the previous round
+    # bracketed, so the spans and generators, in order, are the same
+    rng = random.Random(5)
+    for name in ANALYZABLE:
+        algebra = catalog_algebra(name)
+        for moved in [algebra] + [change_basis(algebra, random_invertible(rng, algebra.dim))
+                                  for _ in range(2)]:
+            report = analyze(moved)
+            table = height_spans(report)
+            assert (table.spans, table.generators) == full_round_height_spans(report), name
+
+
+def test_height_spans_bracket_only_pairs_with_a_new_generator(monkeypatch):
+    # full rounds made 158 brackets on sl2_adjoint and 96 on sl2_natural
+    bracket = LieAlgebra.bracket
+    calls = []
+
+    def counting(algebra, x, y):
+        calls.append((x, y))
+        return bracket(algebra, x, y)
+
+    for name, count in (("sl2_adjoint", 122), ("sl2_natural", 71)):
+        report = analyze(catalog_algebra(name))
+        calls.clear()
+        monkeypatch.setattr(LieAlgebra, "bracket", counting)
+        height_spans(report)
+        monkeypatch.setattr(LieAlgebra, "bracket", bracket)
+        assert len(calls) == count, name
 
 
 def test_exponent_candidate_values():

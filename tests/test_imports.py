@@ -1,7 +1,11 @@
-"""Every name a `src/picodim` module imports is used in that module.
+"""Every name a `src/picodim` module imports is used in that module,
+and every private function or method it defines is referenced in
+`src/picodim`.
 
 Each CLI run is a fresh interpreter, so an import left behind by a
-deletion costs every run; `__init__.py` re-exports and is exempt."""
+deletion costs every run; `__init__.py` re-exports and is exempt.  A
+private helper whose last caller was deleted is dead code that only
+looks alive."""
 
 import ast
 from pathlib import Path
@@ -35,3 +39,36 @@ def test_src_modules_import_nothing_unused():
     assert modules
     found = {p.name: unused_imports(p.read_text()) for p in modules}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def private_defs(sources: list[str]) -> set[str]:
+    """The non-dunder `_name` functions and methods defined in `sources`."""
+    return {node.name
+            for tree in map(ast.parse, sources) for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.name.startswith("_") and not node.name.endswith("__")}
+
+
+def unreferenced_private_defs(sources: list[str]) -> list[str]:
+    """The private defs of `sources` that none of them names, as a `Name`
+    or as an `Attribute`."""
+    referenced = set()
+    for tree in map(ast.parse, sources):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    return sorted(private_defs(sources) - referenced)
+
+
+def test_unreferenced_private_defs_are_detected():
+    sources = ["def _used():\n    pass\ndef _dead():\n    pass\n",
+               "class A:\n    def __init__(self):\n        self._method()\n"
+               "    def _method(self):\n        _used()\n    def _orphan(self):\n        pass\n"]
+    assert unreferenced_private_defs(sources) == ["_dead", "_orphan"]
+
+
+def test_src_defines_no_unreferenced_private_function():
+    sources = [p.read_text() for p in sorted(SRC.glob("*.py"))]
+    assert unreferenced_private_defs(sources) == []

@@ -22,10 +22,17 @@ from picodim.errors import (
     NotSemisimpleError,
     NotSplitError,
 )
-from picodim.liealg import _minimal_polynomial, centroid, is_solvable, nilpotency_class
-from picodim.linalg import Subspace, is_zero_vec, mat_mul, matrix, unit_vec, vec
+from picodim.liealg import (
+    _minimal_polynomial,
+    centroid,
+    engel_subalgebra,
+    is_solvable,
+    nilpotency_class,
+)
+from picodim.linalg import Subspace, is_zero_vec, kernel, mat_mul, matrix, unit_vec, vec
 
 from helpers import (
+    ad_nilpotent_sl2_plus_sl2,
     component_project,
     direct_sum,
     random_invertible,
@@ -431,3 +438,34 @@ def test_change_basis_preserves_structure():
             assert analyze(moved).nil_class == 3
         else:
             assert [c.dim for c in analyze(moved).components] == [3]
+
+
+def _normalizer(algebra, s: Subspace) -> Subspace:
+    """{x : [h, x] in s for every h in s}, the kernel of the linear maps
+    x -> s.reduce(ad(h) x)."""
+    rows = []
+    for h in s.basis:
+        ad_h = algebra.ad(h)
+        columns = [s.reduce(tuple(row[j] for row in ad_h)) for j in range(algebra.dim)]
+        rows += zip(*columns)
+    return kernel(tuple(rows), algebra.dim)
+
+
+def test_engel_subalgebra_is_a_cartan_subalgebra():
+    # none in a nilpotent L, where every ad x is nilpotent; elsewhere the
+    # first nilpotent Engel subalgebra, which is self-normalising, so a
+    # Cartan subalgebra
+    for name in CATALOG_NAMES:
+        algebra = catalog_algebra(name)
+        engel = engel_subalgebra(algebra)
+        if name in ("abelian3", "heisenberg3"):
+            assert engel is None, name
+            continue
+        assert nilpotency_class(algebra, engel) is not None, name
+        assert _normalizer(algebra, engel) == engel, name
+    # no candidate of the ad-nilpotent basis is regular: the first
+    # smallest is x + sl2 for a regular x of one summand
+    algebra = ad_nilpotent_sl2_plus_sl2()
+    engel = engel_subalgebra(algebra)
+    assert engel.dim == 4
+    assert nilpotency_class(algebra, engel) is None
