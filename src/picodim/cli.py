@@ -340,6 +340,7 @@ def run(argv=None, stdout=None) -> int:
     out = stdout
     try:
         args = build_parser().parse_args(argv)
+        # not set_defaults: subparsers share these actions and would reset earlier flags
         for attr, default in GLOBAL_DEFAULTS.items():
             if not hasattr(args, attr):
                 setattr(args, attr, default)

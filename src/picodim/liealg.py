@@ -13,6 +13,10 @@ nonzero coordinates of its arguments, the Jacobi check and the Killing
 form kappa_ij = sum c_ik^l c_jl^k multiply constants directly, and the
 centroid writes only the nonzero coefficients of its equations.
 
+Every algebra enters through `from_json_dict` and its Jacobi check in
+`validate`: a file, and each built-in algebra, an entry of `CATALOG`
+written in the same JSON schema.
+
 Everything is exact.  The quotient's simple components must be split
 over Q; otherwise their dimensions could change under scalar extension
 and we raise NotSplitError instead of reporting a wrong answer.
@@ -141,17 +145,19 @@ def validate(
             clean[(i, j)] = v
     algebra = LieAlgebra(labels, clean)
     constants = algebra.constants
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                # [[b_i, b_j], b_k] + [[b_j, b_k], b_i] + [[b_k, b_i], b_j]
-                s = [ZERO] * n
-                for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                    for l, x in constants[a][b]:
-                        for m, y in constants[l][c]:
-                            s[m] += x * y
-                if any(s):
-                    raise JacobiError((labels[i], labels[j], labels[k]), tuple(s))
+    # a triple whose three brackets vanish satisfies Jacobi, so only the
+    # triples i < j < k through a nonzero bracket are checked, in order
+    triples = {tuple(sorted((i, j, k))) for i, j in clean for k in range(n)
+               if k != i and k != j}
+    for i, j, k in sorted(triples):
+        # [[b_i, b_j], b_k] + [[b_j, b_k], b_i] + [[b_k, b_i], b_j]
+        s = [ZERO] * n
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            for l, x in constants[a][b]:
+                for m, y in constants[l][c]:
+                    s[m] += x * y
+        if any(s):
+            raise JacobiError((labels[i], labels[j], labels[k]), tuple(s))
     return algebra
 
 
@@ -563,106 +569,61 @@ def from_json_dict(data: dict) -> LieAlgebra:
     return validate(labels, table)
 
 
-def _sl2_table(offset: int, n: int, e: int, h: int, f: int) -> dict:
-    def unit(k, c=1):
-        v = [Fraction(0)] * n
-        v[k] = Fraction(c)
-        return v
+# The built-in algebras, each in the file schema that `from_json_dict`
+# reads and `to_json_dict` prints.  sl2 has basis (e, h, f) with
+# [e, h] = -2e, [e, f] = h, [h, f] = -2f; in sl2_adjoint the capitals
+# (E, H, F) span the adjoint module.
+CATALOG = {
+    "abelian3": {"dim": 3, "basis": ["a1", "a2", "a3"], "brackets": {}},
+    "heisenberg3": {
+        "dim": 3, "basis": ["x", "y", "z"], "brackets": {"1,2": [["1", 3]]},
+    },
+    "sl2": {
+        "dim": 3,
+        "basis": ["e", "h", "f"],
+        "brackets": {"1,2": [["-2", 1]], "1,3": [["1", 2]], "2,3": [["-2", 3]]},
+    },
+    "gl2": {
+        "dim": 4,
+        "basis": ["e", "h", "f", "z"],
+        "brackets": {"1,2": [["-2", 1]], "1,3": [["1", 2]], "2,3": [["-2", 3]]},
+    },
+    "sl2_plus_sl2": {
+        "dim": 6,
+        "basis": ["e1", "h1", "f1", "e2", "h2", "f2"],
+        "brackets": {
+            "1,2": [["-2", 1]], "1,3": [["1", 2]], "2,3": [["-2", 3]],
+            "4,5": [["-2", 4]], "4,6": [["1", 5]], "5,6": [["-2", 6]],
+        },
+    },
+    "sl2_natural": {
+        "dim": 5,
+        "basis": ["e", "h", "f", "u", "v"],
+        "brackets": {
+            "1,2": [["-2", 1]], "1,3": [["1", 2]], "1,5": [["1", 4]],
+            "2,3": [["-2", 3]], "2,4": [["1", 4]], "2,5": [["-1", 5]],
+            "3,4": [["1", 5]],
+        },
+    },
+    "sl2_adjoint": {
+        "dim": 6,
+        "basis": ["e", "h", "f", "E", "H", "F"],
+        "brackets": {
+            "1,2": [["-2", 1]], "1,3": [["1", 2]], "1,5": [["-2", 4]],
+            "1,6": [["1", 5]], "2,3": [["-2", 3]], "2,4": [["2", 4]],
+            "2,6": [["-2", 6]], "3,4": [["-1", 5]], "3,5": [["2", 6]],
+        },
+    },
+    "solvable2": {"dim": 2, "basis": ["e", "f"], "brackets": {"1,2": [["1", 2]]}},
+}
 
-    return {
-        (offset + e, offset + h): unit(offset + e, -2),
-        (offset + e, offset + f): unit(offset + h),
-        (offset + h, offset + f): unit(offset + f, -2),
-    }
-
-
-def _catalog_builders() -> dict:
-    def abelian(k: int) -> LieAlgebra:
-        return validate(tuple(f"a{i+1}" for i in range(k)), {})
-
-    def heisenberg3() -> LieAlgebra:
-        return validate(("x", "y", "z"), {(0, 1): [0, 0, 1]})
-
-    def sl2() -> LieAlgebra:
-        return validate(("e", "h", "f"), _sl2_table(0, 3, 0, 1, 2))
-
-    def gl2() -> LieAlgebra:
-        table = {
-            k: [Fraction(x) for x in v] + [Fraction(0)]
-            for k, v in _sl2_table(0, 3, 0, 1, 2).items()
-        }
-        return validate(("e", "h", "f", "z"), table)
-
-    def sl2_plus_sl2() -> LieAlgebra:
-        table = {}
-        table.update(_sl2_table(0, 6, 0, 1, 2))
-        table.update(_sl2_table(3, 6, 0, 1, 2))
-        return validate(("e1", "h1", "f1", "e2", "h2", "f2"), table)
-
-    def sl2_natural() -> LieAlgebra:
-        def unit(k, c=1):
-            v = [Fraction(0)] * 5
-            v[k] = Fraction(c)
-            return v
-
-        table = dict(_sl2_table(0, 5, 0, 1, 2))
-        table.update(
-            {
-                (0, 4): unit(3),  # [e, v] = u
-                (1, 3): unit(3),  # [h, u] = u
-                (1, 4): unit(4, -1),  # [h, v] = -v
-                (2, 3): unit(4),  # [f, u] = v
-            }
-        )
-        return validate(("e", "h", "f", "u", "v"), table)
-
-    def sl2_adjoint() -> LieAlgebra:
-        # basis e,h,f,E,H,F; capitals form the adjoint module copy
-        small = validate(("e", "h", "f"), _sl2_table(0, 3, 0, 1, 2))
-        table = dict(_sl2_table(0, 6, 0, 1, 2))
-        for i in range(3):
-            for j in range(3):
-                value = small.bracket_basis(i, j)
-                if is_zero_vec(value):
-                    continue
-                padded = [Fraction(0)] * 3 + list(value)
-                a, b = i, j + 3
-                if a < b:
-                    table[(a, b)] = padded
-        return validate(("e", "h", "f", "E", "H", "F"), table)
-
-    def solvable2() -> LieAlgebra:
-        return validate(("e", "f"), {(0, 1): [0, 1]})
-
-    return {
-        "abelian3": lambda: abelian(3),
-        "heisenberg3": heisenberg3,
-        "sl2": sl2,
-        "gl2": gl2,
-        "sl2_plus_sl2": sl2_plus_sl2,
-        "sl2_natural": sl2_natural,
-        "sl2_adjoint": sl2_adjoint,
-        "solvable2": solvable2,
-        "_abelian": abelian,
-    }
-
-
-CATALOG_NAMES = (
-    "abelian3",
-    "heisenberg3",
-    "sl2",
-    "gl2",
-    "sl2_plus_sl2",
-    "sl2_natural",
-    "sl2_adjoint",
-    "solvable2",
-)
+CATALOG_NAMES = tuple(CATALOG)
 
 
 def catalog_algebra(name: str) -> LieAlgebra:
-    builders = _catalog_builders()
-    if name in builders and not name.startswith("_"):
-        return builders[name]()
+    """A catalog entry, or `abelian(k)`, read by `from_json_dict`."""
+    if name in CATALOG:
+        return from_json_dict(CATALOG[name])
     if name.startswith("abelian(") and name.endswith(")"):
         try:
             k = int(name[len("abelian(") : -1])
@@ -670,5 +631,5 @@ def catalog_algebra(name: str) -> LieAlgebra:
             raise MalformedInputError(f"bad abelian size in {name!r}") from exc
         if k < 1:
             raise MalformedInputError("abelian(k) needs k >= 1")
-        return builders["_abelian"](k)
+        return from_json_dict({"dim": k, "basis": [f"a{i+1}" for i in range(k)]})
     raise MalformedInputError(f"unknown catalog algebra {name!r}")

@@ -218,9 +218,34 @@ def test_budget_exceeded_exit_code():
 
 
 def test_global_flags_accepted_before_subcommand():
+    # each flag must reach the run, not just parse: a subcommand's
+    # default for the same option must not overwrite it
     code, text = invoke("--format", "text", "catalog")
     assert code == 0
-    assert "sl2" in text
+    assert text.startswith("algebras:")
+    code, payload = invoke_json("--budget", "5", "codim", "sl2", "--n", "3",
+                                "--no-cache")
+    assert code == 4
+    assert payload["error"] == "budget-exceeded"
+    assert "budget is 5" in payload["message"]
+    code, payload = invoke_json("--mode", "sampled", "--seed", "4", "codim", "sl2",
+                                "--n", "3", "--no-cache")
+    assert code == 0
+    assert payload["provenance"]["mode"] == "sampled"
+    assert payload["provenance"]["seed"] == 4
+
+
+def test_validate_large_abelian_file_is_fast(tmp_path):
+    # the Jacobi check visits only triples through a nonzero bracket, so
+    # an algebra with no brackets costs nothing to check, at any dim
+    path = tmp_path / "abelian400.json"
+    path.write_text(json.dumps({"dim": 400}))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "picodim.cli", "validate", str(path), "--no-cache"],
+        capture_output=True, text=True, env=env, timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["algebra"]["dim"] == 400
 
 
 def test_determinism_byte_identical_reports():

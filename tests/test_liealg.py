@@ -1,8 +1,11 @@
 import random
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from picodim import liealg
 from picodim import (
     CATALOG_NAMES,
     analyze,
@@ -23,6 +26,7 @@ from picodim.errors import (
     NotSplitError,
 )
 from picodim.liealg import (
+    CATALOG,
     _minimal_polynomial,
     centroid,
     engel_subalgebra,
@@ -425,6 +429,46 @@ def test_catalog_names_and_parametric_abelian():
         catalog_algebra("abelian(0)")
     with pytest.raises(MalformedInputError):
         catalog_algebra("no-such-algebra")
+
+
+def test_catalog_entries_are_what_to_json_dict_prints():
+    assert CATALOG_NAMES == tuple(CATALOG)
+    for name in CATALOG_NAMES:
+        assert to_json_dict(catalog_algebra(name)) == CATALOG[name], name
+    assert to_json_dict(catalog_algebra("abelian(2)")) == {
+        "dim": 2, "basis": ["a1", "a2"], "brackets": {}}
+
+
+def test_every_catalog_algebra_is_read_by_from_json_dict(monkeypatch):
+    # one way in: a built-in algebra is parsed and validated exactly as
+    # an algebra file is
+    read = []
+
+    def counting(data):
+        read.append(data)
+        return from_json_dict(data)
+
+    monkeypatch.setattr(liealg, "from_json_dict", counting)
+    for name in CATALOG_NAMES + ("abelian(3)",):
+        before = len(read)
+        catalog_algebra(name)
+        assert len(read) == before + 1, name
+
+
+def test_parametric_abelian_matches_the_catalog_entry():
+    small, entry = catalog_algebra("abelian(3)"), catalog_algebra("abelian3")
+    assert (small.labels, small.table) == (entry.labels, entry.table)
+
+
+def test_readme_catalog_table_lists_the_catalog():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("\n## Catalog\n", 1)[1].split("\n## ", 1)[0]
+    rows = []
+    for line in section.splitlines():
+        match = re.match(r"\| `([^`]+)`[^|]*\| (\d+)", line)
+        if match:
+            rows.append((match[1], int(match[2])))
+    assert rows == [(name, CATALOG[name]["dim"]) for name in CATALOG_NAMES]
 
 
 def test_change_basis_preserves_structure():
