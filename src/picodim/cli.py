@@ -26,6 +26,7 @@ from .evaluation import (
     CocharacterTable,
     ExactMode,
     SampledMode,
+    full_pass,
 )
 from .exponent import (
     QPolySpec,
@@ -59,38 +60,17 @@ ALGORITHMS = {
 SAMPLING_COMMANDS = {"codim", "capelli", "verify-upper"}
 
 
-class RunConfig:  # the global options of one run, defaults in GLOBAL_DEFAULTS
-    __slots__ = ("mode", "seed", "tuple_budget", "sample_count", "output_format")
-
-    def __init__(self, mode: str, seed: int, tuple_budget: int, sample_count: int,
-                 output_format: str):
-        if tuple_budget < 1 or sample_count < 1:
-            raise MalformedInputError("budget and samples must be positive")
-        self.mode = mode  # exact | sampled
-        self.seed = seed
-        self.tuple_budget = tuple_budget
-        self.sample_count = sample_count
-        self.output_format = output_format  # json | csv | text
-
-    def eval_mode(self):
-        if self.mode == "exact":
-            return ExactMode()
-        if self.mode == "sampled":
-            return SampledMode(count=self.sample_count, seed=self.seed)
-        raise MalformedInputError(f"unknown mode {self.mode!r}")
-
-    def provenance(self, command: str) -> dict:
-        mode = self.mode if command in SAMPLING_COMMANDS else "exact"
-        out = {
-            "version": __version__,
-            "mode": mode,
-            "seed": self.seed,
-            "tuple_budget": self.tuple_budget,
-            "sample_count": self.sample_count,
-        }
-        if command in ALGORITHMS and mode == "exact":
-            out["algorithm"] = ALGORITHMS[command]
-        return out
+def _provenance(args) -> dict:
+    out = {
+        "version": __version__,
+        "mode": args.mode,
+        "seed": args.seed,
+        "tuple_budget": args.budget,
+        "sample_count": args.samples,
+    }
+    if args.command in ALGORITHMS and args.mode == "exact":
+        out["algorithm"] = ALGORITHMS[args.command]
+    return out
 
 
 class ResultStore:
@@ -176,12 +156,12 @@ def _cocharacter_payload(table: CocharacterTable) -> dict:
     }
 
 
-def _emit(payload: dict, config: RunConfig, out, command: str) -> None:
+def _emit(payload: dict, args, out) -> None:
     payload = dict(payload)
-    payload["provenance"] = config.provenance(command)
-    if config.output_format == "json":
+    payload["provenance"] = _provenance(args)
+    if args.format == "json":
         out.write(json.dumps(payload, indent=2, default=str) + "\n")
-    elif config.output_format == "csv":
+    elif args.format == "csv":
         out.write(_to_csv(payload))
     else:
         _emit_text(payload, out)
@@ -262,7 +242,8 @@ def _global_options() -> argparse.ArgumentParser:
                         help="max generic evaluation points of exact "
                         "evaluation (xi-monomials, summed over the ranked "
                         "contents mu with x_1 in the Cartan slice; dim(L)^n "
-                        "basis tuples for an alternation scan)")
+                        "basis tuples for an alternation scan), and max "
+                        "checks an alternation scan runs without a hit")
     common.add_argument("--samples", type=int,
                         help="sample count for sampled mode")
     common.add_argument("--format", choices=["json", "csv", "text"])
@@ -344,7 +325,10 @@ def run(argv=None, stdout=None) -> int:
         for attr, default in GLOBAL_DEFAULTS.items():
             if not hasattr(args, attr):
                 setattr(args, attr, default)
-        config = RunConfig(args.mode, args.seed, args.budget, args.samples, args.format)
+        if args.budget < 1 or args.samples < 1:
+            raise MalformedInputError("budget and samples must be positive")
+        if args.command not in SAMPLING_COMMANDS:
+            args.mode = "exact"
         if args.out:
             try:
                 out = open(args.out, "w")
@@ -352,8 +336,8 @@ def run(argv=None, stdout=None) -> int:
                 raise MalformedInputError(
                     f"cannot write {args.out}: {exc.strerror}"
                 ) from exc
-        payload = _dispatch(args, config)
-        _emit(payload, config, out, args.command)
+        payload = _dispatch(args)
+        _emit(payload, args, out)
         return 0
     except SystemExit as exc:  # --help
         return 2 if exc.code not in (0, None) else 0
@@ -366,16 +350,15 @@ def run(argv=None, stdout=None) -> int:
             out.close()
 
 
-def _cached(args, config: RunConfig, algebra: LieAlgebra, operation: str,
-            compute) -> dict:
-    """Exact results are cached under (algebra, operation, n): the seed
+def _cached(args, algebra: LieAlgebra, compute) -> dict:
+    """Exact results are cached under (algebra, command, n): the seed
     cannot change them.  Sampled results are never cached; a command
     that never samples is exact under any --mode.  The cache file is
     opened only here, and an OSError on it is malformed input."""
-    if args.no_cache or config.provenance(operation)["mode"] != "exact":
+    if args.no_cache or args.mode != "exact":
         return compute()
     path = Path(args.cache) if args.cache else _default_cache_path()
-    key = ResultStore.key(algebra, operation, {"n": args.n})
+    key = ResultStore.key(algebra, args.command, {"n": args.n})
     try:
         store = ResultStore(path)
         cached = store.get(key)
@@ -388,7 +371,7 @@ def _cached(args, config: RunConfig, algebra: LieAlgebra, operation: str,
         raise MalformedInputError(f"cannot use cache {path}: {exc.strerror}") from exc
 
 
-def _dispatch(args, config: RunConfig) -> dict:
+def _dispatch(args) -> dict:
     if args.command == "catalog":
         return {
             "algebras": [
@@ -418,18 +401,19 @@ def _dispatch(args, config: RunConfig) -> dict:
             },
         }
 
-    engine = CodimEngine(algebra, tuple_budget=config.tuple_budget)
-    mode = config.eval_mode()
+    engine = CodimEngine(algebra, tuple_budget=args.budget)
+    mode = (SampledMode(count=args.samples, seed=args.seed)
+            if args.mode == "sampled" else ExactMode())
 
     if args.command == "codim":
-        return _cached(args, config, algebra, "codim", lambda: {
+        return _cached(args, algebra, lambda: {
             "n": args.n,
             "codimension": engine.codimension(args.n, mode),
-            "certainty": "exact" if config.mode == "exact" else "lower-bound",
+            "certainty": "exact" if args.mode == "exact" else "lower-bound",
         })
 
     if args.command == "cocharacter":
-        return _cached(args, config, algebra, "cocharacter", lambda:
+        return _cached(args, algebra, lambda:
                        _cocharacter_payload(engine.cocharacter(args.n)))
 
     if args.command == "capelli":
@@ -438,7 +422,7 @@ def _dispatch(args, config: RunConfig) -> dict:
             "rank": args.t,
             "n": args.n,
             "holds": holds,
-            "verdict": "exhaustive" if config.mode == "exact" else "not-refuted"
+            "verdict": "exhaustive" if full_pass(args.n, mode) else "not-refuted"
             if holds
             else "refuted",
         }

@@ -29,15 +29,17 @@ words (in exact mode f is an identity iff that value is zero, char 0),
 and `CodimEngine.sampled_columns` ranks the columns at the same sampled
 tuples for a sampled c_n.  `_AlternatedChecker.scan` alternates on the
 first family of sets only: it checks every basis word there under the
-same dim(L)^n budget, or a sample of random orderings of the variables;
-it never builds the slice.  `CodimEngine.cocharacter` has no sampled
-mode, so m_lambda and l_n are always exact.  For `capelli_holds`,
-`exponent.verify_upper` and `exponent.find_lower_witness` the scan
-evaluates alternations on strictly increasing basis assignments of each
-set, summing every set permutation at every choice of set values in one
-signed pass over the word with the kernel's integer brackets.  Exact
-verdicts are proofs; sampled mode only refutes, so its c_n is a lower
-bound.
+same dim(L)^n budget, or a sample of random orderings of the variables
+(`full_pass` says which), and it never builds the slice.  Each check
+evaluates at least one point, so every scan stops with the budget
+exceeded once it has run the budget's count of checks without a hit.
+`CodimEngine.cocharacter` has no sampled mode, so m_lambda and l_n are
+always exact.  For `capelli_holds`, `exponent.verify_upper` and
+`exponent.find_lower_witness` the scan evaluates alternations on
+strictly increasing basis assignments of each set, summing every set
+permutation at every choice of set values in one signed pass over the
+word with the kernel's integer brackets.  Exact verdicts are proofs;
+sampled mode only refutes, so its c_n is a lower bound.
 """
 
 from __future__ import annotations
@@ -527,8 +529,8 @@ class CodimEngine:
     def capelli_holds(self, t: int, n: int, mode: Mode = ExactMode()) -> bool:
         """True iff every polynomial of P_n alternating on some t variables
         is an identity.  Alternations of canonical basis words over every
-        t-subset span all such polynomials, so exact mode is complete;
-        in sampled mode True means "not refuted"."""
+        t-subset span all such polynomials, so a full pass (`full_pass`)
+        is complete; from a smaller sample True means "not refuted"."""
         if not 1 <= t <= n:
             raise MalformedInputError("need 1 <= t <= n")
         _, _, hit = _AlternatedChecker(self).scan(n, t, 1, mode)
@@ -566,6 +568,12 @@ def _lie_absent(parts: tuple[int, ...]) -> bool:
     n = sum(parts)
     return ((len(parts) == 1 and n >= 2) or (parts[0] == 1 and n >= 3)
             or parts in ((2, 2), (2, 2, 2)))
+
+
+def full_pass(n: int, mode: Mode) -> bool:
+    """Whether an alternation scan at degree n covers every basis word:
+    exact mode, or a sample of at least (n-1)! orderings."""
+    return isinstance(mode, ExactMode) or mode.count >= dim_Pn(n)
 
 
 def _assignment_count(n: int, r: int, k: int) -> int:
@@ -662,38 +670,33 @@ class _AlternatedChecker:
         scale = Fraction(order_sign, engine.scale ** (n - 1))
         return assign, tuple(scale * x for x in states[key])
 
-    def scan(self, n: int, r: int, k: int, mode: Mode,
-             budget: int | None = None):
+    def scan(self, n: int, r: int, k: int, mode: Mode):
         """(checks, exhaustive, hit) over alternations of degree-n words on
         the first family F0 = ((1..r), (r+1..2r), ...) of k disjoint
         r-sets; hit is the first nonzero (word, sets, assignment, value)
-        or None.  A full pass (exact mode, or a sample of at least (n-1)!
-        checks) takes every basis word within the engine's dim(L)^n
-        budget and reports the population of (basis word, family) items:
-        S_n permutes the families transitively and fixes the identities
-        of P_n, so F0 has a hit iff any family has, and the first hit of
-        the families-outermost order lies in it.  A smaller sample checks
-        `mode.count` random orderings of x_1..x_n, drawn one at a time,
-        the same check as a random item: a relabelling tau with
-        tau(F) = F0 carries w on F to tau(w) on F0, and the signed pass
-        sees only which set each letter is in.  `budget` caps the checks
-        run, (n-1)! or `mode.count`."""
+        or None.  A full pass (`full_pass`) takes every basis word within
+        the engine's dim(L)^n budget and reports the population of
+        (basis word, family) items: S_n permutes the families
+        transitively and fixes the identities of P_n, so F0 has a hit iff
+        any family has, and the first hit of the families-outermost order
+        lies in it.  A smaller sample checks `mode.count` random
+        orderings of x_1..x_n, drawn one at a time, the same check as a
+        random item: a relabelling tau with tau(F) = F0 carries w on F to
+        tau(w) on F0, and the signed pass sees only which set each letter
+        is in.  Every check evaluates at least one point, so the scan
+        counts its checks against the engine's budget: once it has run
+        that many without a hit, it raises with the checks it would run,
+        (n-1)! or `mode.count`."""
         if not isinstance(mode, (ExactMode, SampledMode)):
             raise MalformedInputError(
                 "alternation checks support exact or sampled mode"
             )
         nwords = dim_Pn(n)
-        exhaustive = isinstance(mode, ExactMode) or mode.count >= nwords
+        exhaustive = full_pass(n, mode)
         if exhaustive:
             # exact evaluation's one budget unit: dim(L)^n points at degree n
             self.engine._require_budget(self.engine.p ** n)
         runs = nwords if exhaustive else mode.count
-        if budget is not None and runs > budget:
-            raise BudgetExceededError(
-                f"{count_text(runs)} alternation checks exceed budget "
-                f"{count_text(budget)}",
-                required=runs,
-            )
         population = _assignment_count(n, r, k) * nwords
         total = population if exhaustive else runs
         if r > self.engine.p:
@@ -714,7 +717,14 @@ class _AlternatedChecker:
                 )
             rng = random.Random(mode.seed)
             words = (tuple(rng.sample(range(1, n + 1), n)) for _ in range(runs))
+        budget = self.engine.tuple_budget
         for checks, word in enumerate(words, 1):
+            if checks > budget:
+                raise BudgetExceededError(
+                    f"{count_text(runs)} alternation checks exceed budget "
+                    f"{count_text(budget)}",
+                    required=runs,
+                )
             found = self.find_nonzero(word, first)
             if found is not None:
                 return checks, exhaustive, (word, first) + found

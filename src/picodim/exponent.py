@@ -239,7 +239,6 @@ def verify_upper(
     spec: QPolySpec,
     mode: Mode = ExactMode(),
     engine: CodimEngine | None = None,
-    budget: int = 1_000_000,
 ) -> UpperVerdict:
     """Check that alternations on k disjoint (d+1)-sets are identities.
 
@@ -248,14 +247,13 @@ def verify_upper(
     S_n carries the words on one family of sets to those on any other,
     so a full pass over one family proves the vanishing statement at
     this degree.  Each individual check is exhaustive over basis
-    tuples.  `budget` caps the checks the scan runs: the (n-1)! basis
-    words of a full pass, or `mode.count` sampled orderings.  A full
-    pass also needs its dim(L)^n generic points within the engine's
-    budget.
+    tuples.  The scan's budget is the engine's: a full pass needs its
+    dim(L)^n generic points within it, and any scan stops once it has
+    run that many checks without a hit.
     """
     engine = engine or CodimEngine(algebra)
     checks, exhaustive, hit = _AlternatedChecker(engine).scan(
-        spec.n, spec.r, spec.k, mode, budget
+        spec.n, spec.r, spec.k, mode
     )
     if hit is None:
         return UpperVerdict(True, spec, checks, exhaustive, None)
@@ -304,7 +302,9 @@ def find_lower_witness(
 
     A single nonzero evaluation refutes identity, so a returned witness
     is sound; None only means no degree up to n_max has one.  Each
-    degree's dim(L)^n generic points must fit the engine's budget.
+    degree's dim(L)^n generic points must fit the engine's budget, and
+    its scan stops the search once it has run that many checks without
+    a hit.
     """
     if r < 1:
         raise MalformedInputError("need r >= 1")

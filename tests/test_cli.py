@@ -73,6 +73,28 @@ def test_capelli_command():
     assert payload["verdict"] == "exhaustive"
 
 
+def test_capelli_verdict_reads_the_coverage():
+    # 24 = 4! orderings are the full pass, which the verdict says
+    for samples, verdict in (("24", "exhaustive"), ("23", "not-refuted")):
+        code, payload = invoke_json("capelli", "gl2", "--t", "4", "--n", "5",
+                                    "--mode", "sampled", "--samples", samples,
+                                    "--no-cache")
+        assert code == 0 and payload["holds"] is True
+        assert payload["verdict"] == verdict, samples
+
+
+def test_capelli_scan_is_bounded_by_budget_checks():
+    # abelian(2) has no hit, so the scan would run all 7! = 5040 words;
+    # 2^8 generic points fit both budgets
+    code, payload = invoke_json("capelli", "abelian(2)", "--t", "1", "--n", "8",
+                                "--budget", "300", "--no-cache")
+    assert code == 4 and payload["error"] == "budget-exceeded"
+    assert "5040" in payload["message"]
+    code, payload = invoke_json("capelli", "abelian(2)", "--t", "1", "--n", "8",
+                                "--budget", "6000", "--no-cache")
+    assert code == 0 and payload["holds"] is True
+
+
 def test_verify_upper_and_find_witness_commands():
     code, payload = invoke_json("verify-upper", "sl2", "--no-cache")
     assert code == 0
@@ -334,7 +356,7 @@ def test_each_error_class_prints_its_kind_and_exit_code(monkeypatch):
         (InternalInvariantError, "internal-invariant-violation", 5),
     ]
     for cls, kind, code in cases:
-        def fail(args, config):
+        def fail(args):
             raise cls("boom")
 
         monkeypatch.setattr(cli, "_dispatch", fail)
@@ -400,7 +422,7 @@ def test_cached_run_loads_no_hashlib(tmp_path):
 
 def test_removed_options_are_usage_errors():
     # usage errors print JSON too; the last case leaves out the required
-    # --n, and the two before it fail RunConfig's check of the values
+    # --n, and the two before it fail run's check of the values
     for argv in (("--n", "3", "--mode", "modular"), ("--n", "3", "--prime-bits", "31"),
                  ("--n", "3", "--jobs", "2"), ("--n", "3", "--budget", "0"),
                  ("--n", "3", "--samples", "0"), ()):

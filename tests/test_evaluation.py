@@ -27,6 +27,7 @@ from picodim.evaluation import (
     _alternating_contents,
     _ColumnSpace,
     _lie_absent,
+    full_pass,
 )
 from picodim.freelie import (
     MultilinearPolynomial,
@@ -703,6 +704,55 @@ def test_capelli_exact_mode_keeps_tuple_budget(monkeypatch):
         CodimEngine(catalog_algebra("sl2_adjoint")).capelli_holds(
             3, 9, SampledMode(10**15))
     assert err.value.required == 6**9
+
+
+def test_capelli_scan_counts_its_checks_against_the_budget():
+    # abelian(2) has no hit: its 2^8 generic points fit a budget of 300,
+    # but 7! = 5040 checks do not, and 6000 do
+    abelian = catalog_algebra("abelian(2)")
+    with pytest.raises(BudgetExceededError) as err:
+        CodimEngine(abelian, tuple_budget=300).capelli_holds(1, 8)
+    assert err.value.required == 5040
+    assert CodimEngine(abelian, tuple_budget=6000).capelli_holds(1, 8)
+    # a sample counts the same way: 400 of its 1000 orderings
+    with pytest.raises(BudgetExceededError) as err:
+        CodimEngine(abelian, tuple_budget=400).capelli_holds(1, 9, SampledMode(1000))
+    assert err.value.required == 1000
+
+
+def test_alternation_scans_share_one_policy():
+    # capelli_holds and verify_upper run one scan: they raise on the same
+    # cells, agree elsewhere, and full_pass is the coverage they report;
+    # at n = 6 a sample of 100 is no full pass, and its checks can pass
+    # a budget of 40
+    names = [name for name in CATALOG_NAMES if catalog_algebra(name).dim <= 4]
+    outcomes = set()
+    for name in names + ["abelian(2)"]:
+        algebra = catalog_algebra(name)
+        for budget in (40, evaluation.DEFAULT_TUPLE_BUDGET):
+            engine = CodimEngine(algebra, tuple_budget=budget)
+            for t in range(1, 5):
+                for n in range(t, 7):
+                    for mode in (ExactMode(), SampledMode(5, 1), SampledMode(100, 2)):
+                        cell = (name, budget, t, n, mode)
+                        try:
+                            holds = engine.capelli_holds(t, n, mode)
+                        except BudgetExceededError as err:
+                            holds = ("raised", err.required)
+                        try:
+                            verdict = verify_upper(algebra, QPolySpec(t, 1, n),
+                                                   mode, engine)
+                        except BudgetExceededError as err:
+                            assert holds == ("raised", err.required), cell
+                            outcomes.add("points" if err.required == engine.p ** n
+                                         else "checks")
+                            continue
+                        assert holds is verdict.passed, cell
+                        assert full_pass(n, mode) is verdict.exhaustive, cell
+                        assert verdict.passed or verdict.checks <= budget, cell
+                        outcomes.add((verdict.passed, verdict.exhaustive))
+    assert outcomes == {"points", "checks", (True, True), (True, False),
+                        (False, True), (False, False)}
 
 
 def test_capelli_sampled_refutes_only_false_checks(engine_for):

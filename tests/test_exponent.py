@@ -202,12 +202,21 @@ def test_verify_upper_detects_non_identities(engine_for):
 
 
 def test_verify_upper_budget():
+    # the engine's budget bounds the checks the scan runs: 300 of 7! words
+    engine = CodimEngine(catalog_algebra("abelian(2)"), tuple_budget=300)
+    with pytest.raises(BudgetExceededError) as err:
+        verify_upper(engine.algebra, QPolySpec(r=1, k=1, n=8), engine=engine)
+    assert err.value.required == 5040
     algebra = catalog_algebra("sl2")
-    with pytest.raises(BudgetExceededError):  # 24 basis words
-        verify_upper(algebra, QPolySpec(r=4, k=1, n=5), budget=3)
     # the cap counts the 7! words a pass checks, not its 1058400 items
     verdict = verify_upper(algebra, QPolySpec(r=2, k=2, n=8))
     assert not verdict.passed and verdict.checks == 1
+
+
+def test_verify_upper_hit_inside_the_budget_answers():
+    # 10! words exceed the default budget of checks, but the first hits
+    verdict = verify_upper(catalog_algebra("sl2"), QPolySpec(r=3, k=1, n=11))
+    assert not verdict.passed and verdict.checks == 1 and verdict.exhaustive
 
 
 def test_verify_upper_rank_above_dimension_reports_a_full_pass(engine_for):
