@@ -19,6 +19,7 @@ from .errors import (
     HypothesisFailure,
     InternalInvariantError,
     MalformedInputError,
+    count_text,
 )
 from .evaluation import (
     DEFAULT_TUPLE_BUDGET,
@@ -241,9 +242,9 @@ def _global_options() -> argparse.ArgumentParser:
     common.add_argument("--budget", type=int,
                         help="max generic evaluation points of exact "
                         "evaluation (xi-monomials, summed over the ranked "
-                        "contents mu with x_1 in the Cartan slice; dim(L)^n "
-                        "basis tuples for an alternation scan), and max "
-                        "checks an alternation scan runs without a hit")
+                        "contents mu with x_1 in the Cartan slice); max "
+                        "checks an alternation scan runs without a hit, and "
+                        "max signed-pass states of each check")
     common.add_argument("--samples", type=int,
                         help="sample count for sampled mode")
     common.add_argument("--format", choices=["json", "csv", "text"])
@@ -439,7 +440,8 @@ def _dispatch(args) -> dict:
             "k": k,
             "n": n,
             "passed": verdict.passed,
-            "checks": verdict.checks,
+            "checks": verdict.checks if verdict.checks < 10**30
+            else count_text(verdict.checks),
             "coverage": "full" if verdict.exhaustive else "sampled",
             "counterexample": str(verdict.counterexample)
             if verdict.counterexample
@@ -454,7 +456,9 @@ def _dispatch(args) -> dict:
         n_max = args.max_n if args.max_n is not None else r * args.k + 2
         witness = find_lower_witness(algebra, r, args.k, n_max, engine=engine)
         if witness is None:
-            return {"found": False, "note": "search exhausted; inconclusive"}
+            note = ("no witness: r > dim L, so every alternation vanishes"
+                    if r > algebra.dim else "search exhausted; inconclusive")
+            return {"found": False, "note": note}
         return {
             "found": True,
             "degree": witness.spec.n,

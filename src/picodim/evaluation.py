@@ -28,11 +28,12 @@ tuples in sampled mode.  Decisions evaluate there and never eliminate:
 words (in exact mode f is an identity iff that value is zero, char 0),
 and `CodimEngine.sampled_columns` ranks the columns at the same sampled
 tuples for a sampled c_n.  `_AlternatedChecker.scan` alternates on the
-first family of sets only: it checks every basis word there under the
-same dim(L)^n budget, or a sample of random orderings of the variables
-(`full_pass` says which), and it never builds the slice.  Each check
-evaluates at least one point, so every scan stops with the budget
-exceeded once it has run the budget's count of checks without a hit.
+first family of sets only: it checks every basis word there, or a
+sample of random orderings of the variables (`full_pass` says which),
+and it never builds the slice.  Its bound is the same in both modes: a
+rank above dim L answers before any check, a scan runs at most the
+budget's count of checks without a hit, and each check walks at most
+the budget's count of signed-pass states.
 `CodimEngine.cocharacter` has no sampled mode, so m_lambda and l_n are
 always exact.  For `capelli_holds`, `exponent.verify_upper` and
 `exponent.find_lower_witness` the scan evaluates alternations on
@@ -46,7 +47,6 @@ from __future__ import annotations
 
 import itertools
 import random
-import sys
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from functools import cached_property
@@ -612,7 +612,8 @@ class _AlternatedChecker:
         (-1)^(used values of that set above c), so a finished state
         carries the sum over the set permutations at its values, up to
         the sign of the order in which the word meets each set's
-        variables."""
+        variables.  It raises once the states its steps create, counted
+        from the innermost letter's p on, pass the engine's budget."""
         engine = self.engine
         p, brackets, n = engine.p, engine.brackets, len(word)
         slot = {v: (s, i) for s, vs in enumerate(sets) for i, v in enumerate(vs)}
@@ -635,6 +636,7 @@ class _AlternatedChecker:
                 digit[v] = free_base + len(digit) * width
                 steps.append([(c << digit[v], 0, c) for c in range(p)])
         states = {bit: [int(l == c) for l in range(p)] for bit, _, c in steps[0]}
+        created, budget = len(states), engine.tuple_budget
         for branches in steps[1:]:
             nxt: dict[int, list[int]] = {}
             for key, value in states.items():
@@ -652,6 +654,10 @@ class _AlternatedChecker:
                                 x = -x
                             for l, y in row[k]:
                                 acc[l] += x * y
+            created += len(nxt)
+            if created > budget:
+                raise BudgetExceededError("an alternation check walks more signed-pass "
+                                          f"states than budget {count_text(budget)}")
             states = {key: acc for key, acc in nxt.items() if any(acc)}
             if not states:
                 return None
@@ -674,31 +680,28 @@ class _AlternatedChecker:
         """(checks, exhaustive, hit) over alternations of degree-n words on
         the first family F0 = ((1..r), (r+1..2r), ...) of k disjoint
         r-sets; hit is the first nonzero (word, sets, assignment, value)
-        or None.  A full pass (`full_pass`) takes every basis word within
-        the engine's dim(L)^n budget and reports the population of
-        (basis word, family) items: S_n permutes the families
-        transitively and fixes the identities of P_n, so F0 has a hit iff
-        any family has, and the first hit of the families-outermost order
-        lies in it.  A smaller sample checks `mode.count` random
-        orderings of x_1..x_n, drawn one at a time, the same check as a
-        random item: a relabelling tau with tau(F) = F0 carries w on F to
-        tau(w) on F0, and the signed pass sees only which set each letter
-        is in.  Every check evaluates at least one point, so the scan
-        counts its checks against the engine's budget: once it has run
-        that many without a hit, it raises with the checks it would run,
-        (n-1)! or `mode.count`."""
+        or None.  A full pass (`full_pass`) takes every basis word and
+        reports the population of (basis word, family) items: S_n
+        permutes the families transitively and fixes the identities of
+        P_n, so F0 has a hit iff any family has, and the first hit of the
+        families-outermost order lies in it.  A smaller sample checks
+        `mode.count` random orderings of x_1..x_n, drawn one at a time,
+        the same check as a random item: a relabelling tau with
+        tau(F) = F0 carries w on F to tau(w) on F0, and the signed pass
+        sees only which set each letter is in.  An r above dim L answers
+        first, with no check.  Otherwise the scan counts its checks
+        against the engine's budget: once it has run that many without a
+        hit, it raises with the checks it would run, (n-1)! or
+        `mode.count`; and `find_nonzero` raises, with no required count,
+        once one check walks more states than the budget."""
         if not isinstance(mode, (ExactMode, SampledMode)):
             raise MalformedInputError(
                 "alternation checks support exact or sampled mode"
             )
         nwords = dim_Pn(n)
         exhaustive = full_pass(n, mode)
-        if exhaustive:
-            # exact evaluation's one budget unit: dim(L)^n points at degree n
-            self.engine._require_budget(self.engine.p ** n)
         runs = nwords if exhaustive else mode.count
-        population = _assignment_count(n, r, k) * nwords
-        total = population if exhaustive else runs
+        total = _assignment_count(n, r, k) * nwords if exhaustive else runs
         if r > self.engine.p:
             # r slots alternated over dim L basis values repeat one
             return total, exhaustive, None
@@ -706,15 +709,6 @@ class _AlternatedChecker:
         if exhaustive:
             words = iter_basis_Pn(n)
         else:
-            # the only bound on a sampled check's size, whose signed pass
-            # grows with n: unrefused, capelli sl2 --t 2 --n 40 would walk
-            # on the order of 3^38 states per check
-            if population > sys.maxsize:
-                raise BudgetExceededError(
-                    f"{count_text(population)} alternation checks are too "
-                    f"many to sample from (at most {sys.maxsize})",
-                    required=population,
-                )
             rng = random.Random(mode.seed)
             words = (tuple(rng.sample(range(1, n + 1), n)) for _ in range(runs))
         budget = self.engine.tuple_budget

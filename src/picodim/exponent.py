@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import HypothesisFailure, MalformedInputError
+from .errors import HypothesisFailure, MalformedInputError, count_text
 from .evaluation import CodimEngine, ExactMode, Mode, _AlternatedChecker
 from .freelie import (
     AltSpec,
@@ -230,7 +230,7 @@ class UpperVerdict:
         scope = "full" if self.exhaustive else "sampled"
         return (
             f"verify_upper r={self.spec.r} k={self.spec.k} n={self.spec.n}: "
-            f"{status} ({self.checks} checks, {scope})"
+            f"{status} ({count_text(self.checks)} checks, {scope})"
         )
 
 
@@ -247,9 +247,9 @@ def verify_upper(
     S_n carries the words on one family of sets to those on any other,
     so a full pass over one family proves the vanishing statement at
     this degree.  Each individual check is exhaustive over basis
-    tuples.  The scan's budget is the engine's: a full pass needs its
-    dim(L)^n generic points within it, and any scan stops once it has
-    run that many checks without a hit.
+    tuples.  The scan's budget is the engine's: r > dim L passes before
+    any check, a scan stops once it has run that many checks without a
+    hit, and a check once it has walked that many signed-pass states.
     """
     engine = engine or CodimEngine(algebra)
     checks, exhaustive, hit = _AlternatedChecker(engine).scan(
@@ -301,10 +301,10 @@ def find_lower_witness(
     """Search for a non-identity alternating on k disjoint r-sets.
 
     A single nonzero evaluation refutes identity, so a returned witness
-    is sound; None only means no degree up to n_max has one.  Each
-    degree's dim(L)^n generic points must fit the engine's budget, and
-    its scan stops the search once it has run that many checks without
-    a hit.
+    is sound; None only means no degree up to n_max has one, and for
+    r > dim L that no degree has one.  Each degree's scan is bounded by
+    the engine's budget: it stops the search once it has run that many
+    checks without a hit, or one check has walked that many states.
     """
     if r < 1:
         raise MalformedInputError("need r >= 1")

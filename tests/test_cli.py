@@ -95,6 +95,30 @@ def test_capelli_scan_is_bounded_by_budget_checks():
     assert code == 0 and payload["holds"] is True
 
 
+def test_questions_that_need_no_check_answer_past_any_bound():
+    # t, r > dim L: every alternation vanishes, and no dim(L)^n bound
+    # refuses the answer; a rank-3 violation hits in its first check
+    for argv, key, value in (
+        (("capelli", "sl2", "--t", "4", "--n", "13"), "holds", True),
+        (("capelli", "sl2", "--t", "3", "--n", "13"), "holds", False),
+        (("find-witness", "sl2", "--r", "4", "--max-n", "13"), "found", False),
+        # C(2000, 4) * 1999! checks, past Python's int-to-str limit
+        (("verify-upper", "sl2", "--k", "1", "--n", "2000"), "checks",
+         "at least 10^5744"),
+    ):
+        code, payload = invoke_json(*argv, "--no-cache")
+        assert code == 0 and payload[key] == value, argv
+
+
+def test_find_witness_says_when_no_degree_can_have_one():
+    code, payload = invoke_json("find-witness", "sl2", "--r", "4", "--no-cache")
+    assert code == 0 and payload["found"] is False
+    assert payload["note"] == "no witness: r > dim L, so every alternation vanishes"
+    code, payload = invoke_json("find-witness", "heisenberg3", "--r", "1",
+                                "--k", "3", "--max-n", "4", "--no-cache")
+    assert code == 0 and payload["note"] == "search exhausted; inconclusive"
+
+
 def test_verify_upper_and_find_witness_commands():
     code, payload = invoke_json("verify-upper", "sl2", "--no-cache")
     assert code == 0
@@ -218,21 +242,21 @@ def test_budget_exceeded_exit_code():
         ("codim", "sl2", "--n", "5", "--budget", "10"),
         # 57 generic evaluation points, x_1 in the 1-dim Cartan slice
         ("cocharacter", "sl2", "--n", "5", "--budget", "10"),
-        # more alternations than a sample may be drawn from: this refusal
-        # is the only bound on a sampled check's size, 3^38 states here
+        # one check of each walks more signed-pass states than the budget,
+        # in either mode, though its population passes Python's 4300-digit
+        # int-to-str limit
         ("capelli", "sl2", "--t", "2", "--n", "40", "--mode", "sampled",
          "--samples", "10"),
-        # counts past Python's 4300-digit int-to-str limit: 3^10000
-        # evaluation points, and over 10^5700 alternations to sample
-        # from or to check against the budget
         ("capelli", "sl2", "--t", "2", "--n", "10000"),
         ("capelli", "sl2", "--t", "2", "--n", "2000", "--mode", "sampled",
          "--samples", "5"),
-        ("verify-upper", "sl2", "--k", "1", "--n", "2000"),
-        # exact alternation scans need the 3^n generic evaluation points
-        # of degree n, like exact capelli: 3^5 here, 3^3 for find-witness
-        ("verify-upper", "sl2", "--k", "1", "--n", "5", "--budget", "10"),
+        # an alternation scan refuses in two ways: a check walks more
+        # states than the budget, or the scan runs out of checks
+        ("verify-upper", "sl2", "--r", "3", "--k", "1", "--n", "5",
+         "--budget", "10"),
         ("find-witness", "sl2", "--budget", "10"),
+        ("find-witness", "abelian(2)", "--r", "1", "--k", "2", "--max-n", "9",
+         "--budget", "300"),
     ):
         code, payload = invoke_json(*argv, "--no-cache")
         assert code == 4

@@ -689,21 +689,31 @@ def test_capelli_violation_at_high_degree_is_found_early(engine_for):
 
 
 def test_capelli_exact_mode_keeps_tuple_budget(monkeypatch):
-    # the scan's budget unit is dim(L)^n, and it never builds the slice
+    # the budget bounds the signed-pass states of each check, and the scan
+    # never builds the slice; t > dim L answers before any bound
     def forbidden(engine):
         raise AssertionError("the Cartan slice was built")
 
     monkeypatch.setattr(CodimEngine, "_select_slice", forbidden)
     engine = CodimEngine(catalog_algebra("sl2"), tuple_budget=10)
+    assert engine.capelli_holds(4, 5)
     with pytest.raises(BudgetExceededError) as err:
-        engine.capelli_holds(4, 5)
-    assert err.value.required == 243
-    # a sample of at least (n-1)! checks is the full pass, and so is
-    # budgeted like it: 6^9 generic points
+        engine.capelli_holds(3, 5)
+    assert err.value.required is None
+    # a sample of at least (n-1)! checks is the full pass, bounded the same way
     with pytest.raises(BudgetExceededError) as err:
-        CodimEngine(catalog_algebra("sl2_adjoint")).capelli_holds(
+        CodimEngine(catalog_algebra("sl2_adjoint"), tuple_budget=1000).capelli_holds(
             3, 9, SampledMode(10**15))
-    assert err.value.required == 6**9
+    assert err.value.required is None
+
+
+def test_sampled_check_is_bounded_by_budget_states():
+    # a sampled check's signed pass grows with n; a degree-12 check of
+    # sl2 walks more than 1000 states before its value is known
+    with pytest.raises(BudgetExceededError) as err:
+        CodimEngine(catalog_algebra("sl2"), tuple_budget=1000).capelli_holds(
+            2, 12, SampledMode(3))
+    assert err.value.required is None
 
 
 def test_capelli_scan_counts_its_checks_against_the_budget():
@@ -744,14 +754,14 @@ def test_alternation_scans_share_one_policy():
                                                    mode, engine)
                         except BudgetExceededError as err:
                             assert holds == ("raised", err.required), cell
-                            outcomes.add("points" if err.required == engine.p ** n
+                            outcomes.add("states" if err.required is None
                                          else "checks")
                             continue
                         assert holds is verdict.passed, cell
                         assert full_pass(n, mode) is verdict.exhaustive, cell
                         assert verdict.passed or verdict.checks <= budget, cell
                         outcomes.add((verdict.passed, verdict.exhaustive))
-    assert outcomes == {"points", "checks", (True, True), (True, False),
+    assert outcomes == {"states", "checks", (True, True), (True, False),
                         (False, True), (False, False)}
 
 

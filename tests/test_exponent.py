@@ -234,6 +234,13 @@ def test_verify_upper_rank_above_dimension_reports_a_full_pass(engine_for):
         )
 
 
+def test_verify_upper_report_bounds_a_count_past_the_str_limit(engine_for):
+    # C(2000, 4) * 1999! checks has more than 4300 digits
+    engine = engine_for("sl2")
+    verdict = verify_upper(engine.algebra, QPolySpec(r=4, k=1, n=2000), engine=engine)
+    assert str(verdict).endswith("pass (at least 10^5744 checks, full)")
+
+
 def test_verify_upper_sampled_mode(engine_for):
     engine = engine_for("sl2_natural")
     verdict = verify_upper(
