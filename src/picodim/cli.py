@@ -77,11 +77,9 @@ def _provenance(args) -> dict:
 class ResultStore:
     """Append-only JSON-lines cache keyed by (algebra, operation, params)."""
 
-    def __init__(self, path: Path | None):
+    def __init__(self, path: Path):
         self.path = path
         self._entries: dict[str, dict] = {}
-        if path is None:
-            return
         # an unusable path fails here, before any result is computed
         path.parent.mkdir(parents=True, exist_ok=True)
         if path.exists():
@@ -115,12 +113,11 @@ class ResultStore:
 
     def put(self, key: str, result) -> None:
         self._entries[key] = result
-        if self.path is not None:
-            with self.path.open("a") as fh:
-                fh.write(
-                    json.dumps({"v": SCHEMA_VERSION, "key": key, "result": result})
-                    + "\n"
-                )
+        with self.path.open("a") as fh:
+            fh.write(
+                json.dumps({"v": SCHEMA_VERSION, "key": key, "result": result})
+                + "\n"
+            )
 
 
 def load_algebra(source: str) -> LieAlgebra:
@@ -221,39 +218,6 @@ def _structure_payload(algebra: LieAlgebra) -> dict:
     }
 
 
-GLOBAL_DEFAULTS = {
-    "mode": "exact",
-    "seed": 0,
-    "budget": DEFAULT_TUPLE_BUDGET,
-    "samples": 1000,
-    "format": "json",
-    "out": None,
-    "cache": None,
-    "no_cache": False,
-}
-
-
-def _global_options() -> argparse.ArgumentParser:
-    # SUPPRESS defaults so flags work both before and after the subcommand
-    common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
-    common.add_argument("--mode", choices=["exact", "sampled"])
-    common.add_argument("--seed", type=int,
-                        help="random seed of sampled mode")
-    common.add_argument("--budget", type=int,
-                        help="max generic evaluation points of exact "
-                        "evaluation (xi-monomials, summed over the ranked "
-                        "contents mu with x_1 in the Cartan slice); max "
-                        "checks an alternation scan runs without a hit, and "
-                        "max signed-pass states of each check")
-    common.add_argument("--samples", type=int,
-                        help="sample count for sampled mode")
-    common.add_argument("--format", choices=["json", "csv", "text"])
-    common.add_argument("--out", type=str, help="write report to file")
-    common.add_argument("--cache", type=str, help="JSON-lines result cache path")
-    common.add_argument("--no-cache", action="store_true")
-    return common
-
-
 class _Parser(argparse.ArgumentParser):
     """Raises usage errors, so `run` reports them as malformed input;
     subparsers are built from the same class."""
@@ -263,11 +227,35 @@ class _Parser(argparse.ArgumentParser):
         raise MalformedInputError(f"{self.prog}: {message}")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = _global_options()
+def _global_options() -> argparse.ArgumentParser:
+    """The flags every command reads, from the whole command line before
+    the command parser sees the rest, so they bind before or after the
+    command; abbreviations are off, or `--n` would read as `--no-cache`."""
+    options = _Parser(prog="picodim", add_help=False, allow_abbrev=False)
+    options.add_argument("--mode", choices=["exact", "sampled"], default="exact")
+    options.add_argument("--seed", type=int, default=0,
+                         help="random seed of sampled mode")
+    options.add_argument("--budget", type=int, default=DEFAULT_TUPLE_BUDGET,
+                         help="max generic evaluation points of exact "
+                         "evaluation (xi-monomials, summed over the ranked "
+                         "contents mu with x_1 in the Cartan slice); max "
+                         "checks an alternation scan runs without a hit, and "
+                         "max signed-pass states of each check")
+    options.add_argument("--samples", type=int, default=1000,
+                         help="sample count for sampled mode")
+    options.add_argument("--format", choices=["json", "csv", "text"], default="json")
+    options.add_argument("--out", help="write report to file")
+    options.add_argument("--cache", help="JSON-lines result cache path")
+    options.add_argument("--no-cache", action="store_true")
+    return options
+
+
+def build_parser(options: argparse.ArgumentParser) -> argparse.ArgumentParser:
+    """The command parser; its help lists the global `options`."""
     parser = _Parser(
         prog="picodim",
-        parents=[common],
+        parents=[options],
+        allow_abbrev=False,
         description=(
             "Exact polynomial-identity invariants of finite-dimensional "
             "Lie algebras: codimensions, cocharacters, Capelli checks and "
@@ -275,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("catalog", parents=[common], help="list built-in algebras")
+    sub.add_parser("catalog", help="list built-in algebras")
 
     for name, needs_n in [
         ("validate", False),
@@ -284,31 +272,35 @@ def build_parser() -> argparse.ArgumentParser:
         ("codim", True),
         ("cocharacter", True),
     ]:
-        p = sub.add_parser(name, parents=[common])
+        p = sub.add_parser(name)
         p.add_argument("algebra")
         if needs_n:
             p.add_argument("--n", type=int, required=True)
 
-    p = sub.add_parser("capelli", parents=[common])
+    p = sub.add_parser("capelli")
     p.add_argument("algebra")
     p.add_argument("--t", type=int, required=True, help="alternating set size")
     p.add_argument("--n", type=int, required=True)
 
-    p = sub.add_parser("verify-upper", parents=[common])
+    p = sub.add_parser("verify-upper")
     p.add_argument("algebra")
     p.add_argument("--r", type=int, default=None, help="set size (default d+1)")
     p.add_argument("--k", type=int, default=None, help="set count (default nil class)")
     p.add_argument("--n", type=int, default=None, help="degree (default r*k)")
 
-    p = sub.add_parser("find-witness", parents=[common])
+    p = sub.add_parser("find-witness")
     p.add_argument("algebra")
     p.add_argument("--r", type=int, default=None, help="set size (default d)")
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--max-n", type=int, default=None)
 
-    p = sub.add_parser("growth", parents=[common])
+    p = sub.add_parser("growth")
     p.add_argument("algebra")
     p.add_argument("--max-n", type=int, required=True)
+    epilog = ("global options, before or after the command (see picodim "
+              "--help): " + " ".join(a.option_strings[0] for a in options._actions))
+    for p in sub.choices.values():
+        p.epilog = epilog
     return parser
 
 
@@ -321,11 +313,9 @@ def run(argv=None, stdout=None) -> int:
     stdout = stdout or sys.stdout
     out = stdout
     try:
-        args = build_parser().parse_args(argv)
-        # not set_defaults: subparsers share these actions and would reset earlier flags
-        for attr, default in GLOBAL_DEFAULTS.items():
-            if not hasattr(args, attr):
-                setattr(args, attr, default)
+        options = _global_options()
+        args, rest = options.parse_known_args(argv)
+        build_parser(options).parse_args(rest, namespace=args)
         if args.budget < 1 or args.samples < 1:
             raise MalformedInputError("budget and samples must be positive")
         if args.command not in SAMPLING_COMMANDS:
@@ -429,9 +419,11 @@ def _dispatch(args) -> dict:
         }
 
     if args.command == "verify-upper":
-        report = pi_exponent_candidate(algebra)
-        r = args.r if args.r is not None else report.d + 1
-        k = args.k if args.k is not None else report.structure.nil_class
+        r, k = args.r, args.k
+        if r is None or k is None:
+            report = pi_exponent_candidate(algebra)
+            r = report.d + 1 if r is None else r
+            k = report.structure.nil_class if k is None else k
         n = args.n if args.n is not None else r * k
         spec = QPolySpec(r, k, n)
         verdict = verify_upper(algebra, spec, mode=mode, engine=engine)
@@ -449,10 +441,11 @@ def _dispatch(args) -> dict:
         }
 
     if args.command == "find-witness":
-        report = pi_exponent_candidate(algebra)
-        if args.r is None and report.d < 1:
-            raise HypothesisFailure("exponent candidate is 0: no witness search")
-        r = args.r if args.r is not None else report.d
+        r = args.r
+        if r is None:
+            r = pi_exponent_candidate(algebra).d
+            if r < 1:
+                raise HypothesisFailure("exponent candidate is 0: no witness search")
         n_max = args.max_n if args.max_n is not None else r * args.k + 2
         witness = find_lower_witness(algebra, r, args.k, n_max, engine=engine)
         if witness is None:

@@ -302,12 +302,16 @@ def find_lower_witness(
 
     A single nonzero evaluation refutes identity, so a returned witness
     is sound; None only means no degree up to n_max has one, and for
-    r > dim L that no degree has one.  Each degree's scan is bounded by
-    the engine's budget: it stops the search once it has run that many
-    checks without a hit, or one check has walked that many states.
+    r > dim L that no degree has one.  An n_max below r*k is malformed.
+    Each degree's scan is bounded by the engine's budget: it stops the
+    search once it has run that many checks without a hit, or one check
+    has walked that many states.
     """
     if r < 1:
         raise MalformedInputError("need r >= 1")
+    if n_max < r * k:
+        raise MalformedInputError(
+            f"max n {n_max} is below r*k = {r * k}: no degree to search")
     engine = engine or CodimEngine(algebra)
     checker = _AlternatedChecker(engine)
     for n in range(r * k, n_max + 1):

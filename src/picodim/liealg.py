@@ -540,8 +540,9 @@ def from_json_dict(data: dict) -> LieAlgebra:
         raise MalformedInputError("algebra JSON must be an object")
     n = _json_positive(data.get("dim"), "'dim'")
     labels = data.get("basis") or [f"b{i+1}" for i in range(n)]
-    if not isinstance(labels, list) or len(labels) != n:
-        raise MalformedInputError(f"'basis' must be a list of {n} names")
+    if (not isinstance(labels, list) or len(labels) != n
+            or len({b for b in labels if isinstance(b, str) and b}) < n):
+        raise MalformedInputError(f"'basis' must list {n} distinct non-empty names")
     brackets = data.get("brackets", {})
     if not isinstance(brackets, dict):
         raise MalformedInputError("'brackets' must be an object")

@@ -281,6 +281,66 @@ def test_global_flags_accepted_before_subcommand():
     assert payload["provenance"]["seed"] == 4
 
 
+def test_global_flags_bind_after_the_command_options(capsys):
+    # the global flags are read from the whole command line first, so
+    # one after a command's own options reaches the run too
+    code, payload = invoke_json("codim", "sl2", "--n", "3", "--budget", "5",
+                                "--no-cache")
+    assert code == 4
+    assert "budget is 5" in payload["message"]
+    code, text = invoke("codim", "sl2", "--n", "3", "--format", "text",
+                        "--no-cache")
+    assert code == 0 and text.startswith("n: 3\n")
+    assert invoke("codim", "--help")[0] == 0
+    help_text = capsys.readouterr().out
+    assert "--budget" in help_text and "--cache" in help_text
+
+
+def test_global_flags_must_be_spelled_out():
+    # abbreviations are off, so the command's --n is never read as
+    # --no-cache; the price is that --budg is a usage error
+    for argv in (("codim", "sl2", "--n", "3", "--budg", "5"),
+                 ("--budg", "5", "codim", "sl2", "--n", "3")):
+        code, payload = invoke_json(*argv, "--no-cache")
+        assert code == 2, argv
+        assert payload["error"] == "malformed-input", argv
+
+
+def test_explicit_parameters_need_no_exponent_candidate():
+    # solvable2 is not almost nilpotent, so only a default r or k, which
+    # needs d(L), fails the hypotheses
+    code, payload = invoke_json("verify-upper", "solvable2", "--r", "2",
+                                "--k", "1", "--n", "3", "--no-cache")
+    assert code == 0
+    assert payload["passed"] is False and payload["checks"] == 1
+    code, payload = invoke_json("find-witness", "solvable2", "--r", "1",
+                                "--max-n", "3", "--no-cache")
+    assert code == 0
+    assert payload["degree"] == 1
+    assert payload["witness"] == "Alt[{x1}] x1 at (x1=e) = e"
+    for argv in (("find-witness", "solvable2"), ("exponent", "solvable2"),
+                 ("verify-upper", "solvable2", "--r", "2")):
+        code, payload = invoke_json(*argv, "--no-cache")
+        assert code == 3 and payload["error"] == "hypothesis-failure", argv
+
+
+def test_find_witness_below_degree_rk_is_malformed_input():
+    code, payload = invoke_json("find-witness", "sl2", "--max-n", "2",
+                                "--no-cache")
+    assert (code, payload) == (2, {
+        "error": "malformed-input",
+        "message": "max n 2 is below r*k = 3: no degree to search",
+    })
+
+
+def test_basis_names_must_be_distinct_strings(tmp_path):
+    for basis in ([1, 2, 3], ["a", "a", "b"]):
+        path = tmp_path / "basis.json"
+        path.write_text(json.dumps({"dim": 3, "basis": basis}))
+        code, payload = invoke_json("analyze", str(path), "--no-cache")
+        assert code == 2 and payload["error"] == "malformed-input", basis
+
+
 def test_validate_large_abelian_file_is_fast(tmp_path):
     # the Jacobi check visits only triples through a nonzero bracket, so
     # an algebra with no brackets costs nothing to check, at any dim

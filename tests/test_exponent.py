@@ -300,6 +300,10 @@ def test_find_lower_witness_abelian_returns_none():
 def test_find_lower_witness_validation():
     with pytest.raises(MalformedInputError):
         find_lower_witness(catalog_algebra("sl2"), r=0, k=1, n_max=2)
+    # below degree r*k there is no degree to search
+    for r, k, n_max in ((3, 1, 2), (2, 2, 3), (1, 1, 0)):
+        with pytest.raises(MalformedInputError, match="no degree to search"):
+            find_lower_witness(catalog_algebra("sl2"), r=r, k=k, n_max=n_max)
 
 
 def test_sandwich_coherence(engine_for):

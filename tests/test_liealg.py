@@ -415,6 +415,11 @@ def test_json_rejects_malformed_input():
         {"dim": 2, "brackets": {"1,2": [["1", 1.5]]}},
         {"dim": 2, "brackets": {"1,2": [["1", True]]}},
         {"dim": 2, "brackets": {"1,2": [[True, 2]]}},
+        # basis names that are not distinct non-empty strings
+        {"dim": 3, "basis": [1, 2, 3]},
+        {"dim": 3, "basis": ["a", "a", "b"]},
+        {"dim": 2, "basis": ["a", ""]},
+        {"dim": 2, "basis": ["a", ["b"]]},
     ):
         with pytest.raises(MalformedInputError):
             from_json_dict(data)
