@@ -218,9 +218,27 @@ def _structure_payload(algebra: LieAlgebra) -> dict:
     }
 
 
+# Each command's own options, flag -> (default or REQUIRED, help); all
+# take an integer.  Every command but `catalog` takes an algebra first.
+REQUIRED = object()
+COMMANDS = {
+    "catalog": {}, "validate": {}, "analyze": {}, "exponent": {},
+    "codim": {"--n": (REQUIRED, "degree")},
+    "cocharacter": {"--n": (REQUIRED, "degree")},
+    "capelli": {"--t": (REQUIRED, "alternating set size"),
+                "--n": (REQUIRED, "degree")},
+    "verify-upper": {"--r": (None, "set size (default d+1)"),
+                     "--k": (None, "set count (default nil class)"),
+                     "--n": (None, "degree (default r*k)")},
+    "find-witness": {"--r": (None, "set size (default d)"),
+                     "--k": (1, "set count"),
+                     "--max-n": (None, "largest degree searched (default r*k+2)")},
+    "growth": {"--max-n": (REQUIRED, "largest degree")},
+}
+
+
 class _Parser(argparse.ArgumentParser):
-    """Raises usage errors, so `run` reports them as malformed input;
-    subparsers are built from the same class."""
+    """Raises usage errors, so `run` reports them as malformed input."""
 
     def error(self, message: str):
         self.print_usage(sys.stderr)
@@ -250,8 +268,11 @@ def _global_options() -> argparse.ArgumentParser:
     return options
 
 
-def build_parser(options: argparse.ArgumentParser) -> argparse.ArgumentParser:
-    """The command parser; its help lists the global `options`."""
+def build_parser(options: argparse.ArgumentParser,
+                 command: str | None) -> argparse.ArgumentParser:
+    """The parser of `command`'s own arguments, with the global `options`
+    as parent, so its help lists them.  For anything but a command it
+    parses the command name itself, and its help lists the commands."""
     parser = _Parser(
         prog="picodim",
         parents=[options],
@@ -262,45 +283,18 @@ def build_parser(options: argparse.ArgumentParser) -> argparse.ArgumentParser:
             "the integer exponent candidate"
         ),
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("catalog", help="list built-in algebras")
-
-    for name, needs_n in [
-        ("validate", False),
-        ("analyze", False),
-        ("exponent", False),
-        ("codim", True),
-        ("cocharacter", True),
-    ]:
-        p = sub.add_parser(name)
-        p.add_argument("algebra")
-        if needs_n:
-            p.add_argument("--n", type=int, required=True)
-
-    p = sub.add_parser("capelli")
-    p.add_argument("algebra")
-    p.add_argument("--t", type=int, required=True, help="alternating set size")
-    p.add_argument("--n", type=int, required=True)
-
-    p = sub.add_parser("verify-upper")
-    p.add_argument("algebra")
-    p.add_argument("--r", type=int, default=None, help="set size (default d+1)")
-    p.add_argument("--k", type=int, default=None, help="set count (default nil class)")
-    p.add_argument("--n", type=int, default=None, help="degree (default r*k)")
-
-    p = sub.add_parser("find-witness")
-    p.add_argument("algebra")
-    p.add_argument("--r", type=int, default=None, help="set size (default d)")
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--max-n", type=int, default=None)
-
-    p = sub.add_parser("growth")
-    p.add_argument("algebra")
-    p.add_argument("--max-n", type=int, required=True)
-    epilog = ("global options, before or after the command (see picodim "
-              "--help): " + " ".join(a.option_strings[0] for a in options._actions))
-    for p in sub.choices.values():
-        p.epilog = epilog
+    if command not in COMMANDS:
+        # the metavar, not the dest, names the commands when none is given
+        parser.add_argument("command", choices=COMMANDS,
+                            metavar="{" + ",".join(COMMANDS) + "}",
+                            help="picodim COMMAND --help lists its options")
+        return parser
+    parser.prog += " " + command
+    if command != "catalog":
+        parser.add_argument("algebra")
+    for flag, (default, text) in COMMANDS[command].items():
+        parser.add_argument(flag, type=int, default=default, help=text,
+                            required=default is REQUIRED)
     return parser
 
 
@@ -315,7 +309,8 @@ def run(argv=None, stdout=None) -> int:
     try:
         options = _global_options()
         args, rest = options.parse_known_args(argv)
-        build_parser(options).parse_args(rest, namespace=args)
+        args.command = rest.pop(0) if rest and rest[0] in COMMANDS else None
+        build_parser(options, args.command).parse_args(rest, namespace=args)
         if args.budget < 1 or args.samples < 1:
             raise MalformedInputError("budget and samples must be positive")
         if args.command not in SAMPLING_COMMANDS:
@@ -435,9 +430,8 @@ def _dispatch(args) -> dict:
             "checks": verdict.checks if verdict.checks < 10**30
             else count_text(verdict.checks),
             "coverage": "full" if verdict.exhaustive else "sampled",
-            "counterexample": str(verdict.counterexample)
-            if verdict.counterexample
-            else None,
+            "counterexample": None if verdict.passed
+            else verdict.counterexample.describe(algebra),
         }
 
     if args.command == "find-witness":

@@ -218,12 +218,12 @@ class UpperVerdict:
     __slots__ = ("passed", "spec", "checks", "exhaustive", "counterexample")
 
     def __init__(self, passed: bool, spec: QPolySpec, checks: int,
-                 exhaustive: bool, counterexample: tuple | None):
+                 exhaustive: bool, counterexample: LowerWitness | None):
         self.passed = passed
         self.spec = spec
         self.checks = checks
         self.exhaustive = exhaustive  # all (monomial, set-assignment) pairs covered
-        self.counterexample = counterexample  # (word, sets, assignment labels)
+        self.counterexample = counterexample  # the scan's first hit
 
     def __str__(self) -> str:
         status = "pass" if self.passed else "FAIL"
@@ -255,11 +255,8 @@ def verify_upper(
     checks, exhaustive, hit = _AlternatedChecker(engine).scan(
         spec.n, spec.r, spec.k, mode
     )
-    if hit is None:
-        return UpperVerdict(True, spec, checks, exhaustive, None)
-    word, sets, assign, _ = hit
-    labels = {f"x{v}": algebra.labels[idx] for v, idx in sorted(assign.items())}
-    return UpperVerdict(False, spec, checks, exhaustive, (word, sets, labels))
+    witness = None if hit is None else LowerWitness(spec, *hit)
+    return UpperVerdict(witness is None, spec, checks, exhaustive, witness)
 
 
 class LowerWitness:

@@ -529,6 +529,9 @@ def to_json_dict(algebra: LieAlgebra) -> dict:
     }
 
 
+MAX_DIM = 1000  # `LieAlgebra` builds a dim x dim table before any check
+
+
 def _json_positive(value, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int) or value < 1:
         raise MalformedInputError(f"{what} must be a positive integer, got {value!r}")
@@ -539,6 +542,8 @@ def from_json_dict(data: dict) -> LieAlgebra:
     if not isinstance(data, dict):
         raise MalformedInputError("algebra JSON must be an object")
     n = _json_positive(data.get("dim"), "'dim'")
+    if n > MAX_DIM:
+        raise MalformedInputError(f"'dim' is {n}, above the cap of {MAX_DIM}")
     labels = data.get("basis") or [f"b{i+1}" for i in range(n)]
     if (not isinstance(labels, list) or len(labels) != n
             or len({b for b in labels if isinstance(b, str) and b}) < n):
@@ -632,5 +637,7 @@ def catalog_algebra(name: str) -> LieAlgebra:
             raise MalformedInputError(f"bad abelian size in {name!r}") from exc
         if k < 1:
             raise MalformedInputError("abelian(k) needs k >= 1")
+        if k > MAX_DIM:  # before its k basis names are built
+            raise MalformedInputError(f"abelian(k) needs k <= {MAX_DIM}")
         return from_json_dict({"dim": k, "basis": [f"a{i+1}" for i in range(k)]})
     raise MalformedInputError(f"unknown catalog algebra {name!r}")

@@ -8,7 +8,7 @@ from pathlib import Path
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from picodim import CodimEngine, __version__, catalog_algebra, cli, to_json_dict
+from picodim import CodimEngine, __version__, catalog_algebra, cli, liealg, to_json_dict
 from picodim.cli import load_algebra, run
 from picodim.errors import (
     BudgetExceededError,
@@ -198,6 +198,7 @@ def test_bad_catalog_argument_keeps_the_catalog_reason():
     for argv, reason in (
         (("analyze", "abelian(x)"), "bad abelian size in 'abelian(x)'"),
         (("codim", "abelian(0)", "--n", "2"), "abelian(k) needs k >= 1"),
+        (("validate", "abelian(1001)"), "abelian(k) needs k <= 1000"),
         (("analyze", "no-such-thing"), "unknown catalog algebra 'no-such-thing'"),
     ):
         code, payload = invoke_json(*argv, "--no-cache")
@@ -296,6 +297,54 @@ def test_global_flags_bind_after_the_command_options(capsys):
     assert "--budget" in help_text and "--cache" in help_text
 
 
+GLOBAL_FLAGS = ("--mode", "--seed", "--budget", "--samples", "--format",
+                "--out", "--cache", "--no-cache")
+
+
+def test_help_lists_every_command_and_global_flag(capsys):
+    assert invoke("--help")[0] == 0
+    help_text = capsys.readouterr().out
+    for name in (*cli.COMMANDS, *GLOBAL_FLAGS):
+        assert name in help_text, name
+
+
+def test_command_help_lists_its_options_and_the_global_flags(capsys):
+    assert invoke("capelli", "--help")[0] == 0
+    help_text = capsys.readouterr().out
+    assert "alternating set size" in help_text and "--budget" in help_text
+
+
+def test_missing_or_unknown_command_is_usage_error():
+    for argv in ((), ("nosuch", "sl2"), ("--no-cache",)):
+        code, payload = invoke_json(*argv)
+        assert code == 2 and payload["error"] == "malformed-input", argv
+        assert all(name in payload["message"] for name in cli.COMMANDS), argv
+
+
+def test_one_run_builds_two_parsers(monkeypatch):
+    # the global flags' parser and the one command's parser
+    built = []
+    init = cli._Parser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting)
+    for argv in (("analyze", "sl2"), ("--format", "text", "catalog"),
+                 ("codim", "sl2", "--n", "3", "--budget", "5"), ("nosuch",)):
+        built.clear()
+        invoke(*argv, "--no-cache")
+        assert len(built) == 2, (argv, built)
+
+
+def test_readme_command_block_lists_the_commands():
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1].split("```sh\n", 1)[1]
+    block = section.split("```", 1)[0]
+    assert [line.split()[1] for line in block.splitlines()] == list(cli.COMMANDS)
+
+
 def test_global_flags_must_be_spelled_out():
     # abbreviations are off, so the command's --n is never read as
     # --no-cache; the price is that --budg is a usage error
@@ -313,6 +362,9 @@ def test_explicit_parameters_need_no_exponent_candidate():
                                 "--k", "1", "--n", "3", "--no-cache")
     assert code == 0
     assert payload["passed"] is False and payload["checks"] == 1
+    # a counterexample reads as find-witness prints a witness
+    assert payload["counterexample"] == (
+        "Alt[{x1,x2}] x1(x2(x3)) at (x1=e, x2=f, x3=e) = -f")
     code, payload = invoke_json("find-witness", "solvable2", "--r", "1",
                                 "--max-n", "3", "--no-cache")
     assert code == 0
@@ -339,6 +391,19 @@ def test_basis_names_must_be_distinct_strings(tmp_path):
         path.write_text(json.dumps({"dim": 3, "basis": basis}))
         code, payload = invoke_json("analyze", str(path), "--no-cache")
         assert code == 2 and payload["error"] == "malformed-input", basis
+
+
+def test_algebra_file_dim_is_capped(tmp_path):
+    # one past the cap is refused before any table is built; the cap
+    # itself loads
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"dim": liealg.MAX_DIM + 1}))
+    code, payload = invoke_json("validate", str(path), "--no-cache")
+    assert (code, payload) == (2, {
+        "error": "malformed-input",
+        "message": f"'dim' is {liealg.MAX_DIM + 1}, above the cap of 1000",
+    })
+    assert liealg.from_json_dict({"dim": liealg.MAX_DIM}).dim == 1000
 
 
 def test_validate_large_abelian_file_is_fast(tmp_path):
