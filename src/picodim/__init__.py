@@ -12,7 +12,6 @@ from .errors import (
 from .evaluation import (
     CodimEngine,
     CocharacterTable,
-    ExactMode,
     SampledMode,
     evaluate,
 )

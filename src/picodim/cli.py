@@ -25,7 +25,6 @@ from .evaluation import (
     DEFAULT_TUPLE_BUDGET,
     CodimEngine,
     CocharacterTable,
-    ExactMode,
     SampledMode,
     full_pass,
 )
@@ -389,7 +388,7 @@ def _dispatch(args) -> dict:
 
     engine = CodimEngine(algebra, tuple_budget=args.budget)
     mode = (SampledMode(count=args.samples, seed=args.seed)
-            if args.mode == "sampled" else ExactMode())
+            if args.mode == "sampled" else None)
 
     if args.command == "codim":
         return _cached(args, algebra, lambda: {

@@ -21,19 +21,20 @@ over the contents mu that `cocharacter` ranks (`CodimEngine.cost`):
 prod_i C(d_i + mu_i - 1, mu_i), with d_1 = r when mu has two or more
 parts and L has a slice, and d_i = dim L otherwise.
 
-The mode picks only the evaluation points (`CodimEngine._points`): the
-generic point in exact mode, budgeted as dim(L)^n, `count` random basis
-tuples in sampled mode.  Decisions evaluate there and never eliminate:
-`CodimEngine.is_identity` evaluates f through the kernel's content-1^n
-words (in exact mode f is an identity iff that value is zero, char 0),
-and `CodimEngine.sampled_columns` ranks the columns at the same sampled
-tuples for a sampled c_n.  `_AlternatedChecker.scan` alternates on the
-first family of sets only: it checks every basis word there, or a
-sample of random orderings of the variables (`full_pass` says which),
-and it never builds the slice.  Its bound is the same in both modes: a
-rank above dim L answers before any check, a scan runs at most the
-budget's count of checks without a hit, and each check walks at most
-the budget's count of signed-pass states.
+A mode is None (exact, the default) or a `SampledMode`.  Exact values
+are read at the generic point, and decisions evaluate there and never
+eliminate: `CodimEngine.is_identity` evaluates f through the
+kernel's content-1^n words, budgeted as dim(L)^n like
+`exhaustive_columns`, and f is an identity iff that value is zero
+(char 0).  A sampled c_n ranks the columns of `count` seeded random
+basis tuples (`CodimEngine.sampled_columns`), each evaluated by the same
+`_values` with the tuple as its point.  `_AlternatedChecker.scan`
+alternates on the first family of sets only: it checks every basis
+word there, or a sample of random orderings of the variables
+(`full_pass` says which), and it never builds the slice.  Its bound is
+the same in both modes: a rank above dim L answers before any check, a
+scan runs at most the budget's count of checks without a hit, and each
+check walks at most the budget's count of signed-pass states.
 `CodimEngine.cocharacter` has no sampled mode, so m_lambda and l_n are
 always exact.  For `capelli_holds`, `exponent.verify_upper` and
 `exponent.find_lower_witness` the scan evaluates alternations on
@@ -67,21 +68,6 @@ from .symgroup import Partition, hook_dim, iter_partitions, partitions
 DEFAULT_TUPLE_BUDGET = 500_000
 
 
-class ExactMode:
-    __slots__ = ()
-
-    def __eq__(self, other):
-        if other.__class__ is not ExactMode:
-            return NotImplemented
-        return True
-
-    def __hash__(self) -> int:
-        return hash(ExactMode)
-
-    def __repr__(self) -> str:
-        return "ExactMode()"
-
-
 class SampledMode:
     __slots__ = ("count", "seed")
 
@@ -99,9 +85,6 @@ class SampledMode:
 
     def __repr__(self) -> str:
         return f"SampledMode(count={self.count}, seed={self.seed})"
-
-
-Mode = "ExactMode | SampledMode"
 
 
 class Evaluator:
@@ -413,18 +396,6 @@ class CodimEngine:
         extend(start, (m,), n - 1)
         return rows
 
-    def _points(self, n: int, mode: Mode):
-        """The kernel's evaluation points at degree n: the generic point
-        (None) in exact mode, once its dim(L)^n cost fits the budget; the
-        `mode.count` seeded random basis tuples in sampled mode."""
-        if isinstance(mode, ExactMode):
-            self._require_budget(self.p ** n)
-            return [None]
-        if isinstance(mode, SampledMode):
-            rng, p = random.Random(mode.seed), self.p
-            return (tuple(rng.randrange(p) for _ in range(n)) for _ in range(mode.count))
-        raise MalformedInputError(f"unknown mode {mode!r}")
-
     # -- column generation ------------------------------------------------
 
     def _tuple_columns(self, words: list[Word], tup: tuple[int, ...]):
@@ -443,23 +414,23 @@ class CodimEngine:
     def exhaustive_columns(self, n: int) -> _ColumnSpace:
         """The content-1^n columns at the generic point, one for each
         xi-monomial and coordinate; their rank is c_n."""
-        self._points(n, ExactMode())  # the budget of the generic point
+        self._require_budget(self.p ** n)
         return self._space((1,) * n)
 
     def sampled_columns(self, n: int, mode: SampledMode) -> _ColumnSpace:
-        """Columns of the sampled basis tuples, rows in `basis_Pn(n)`
-        order; no tuple is drawn once the rank reaches (n-1)!."""
-        points = self._points(n, mode)
-        words = basis_Pn(n)
-        return _span((col for tup in points for col in self._tuple_columns(words, tup)),
+        """Columns of `mode.count` seeded random basis tuples, rows in
+        `basis_Pn(n)` order; no tuple is drawn once the rank reaches (n-1)!."""
+        rng, p, words = random.Random(mode.seed), self.p, basis_Pn(n)
+        tuples = (tuple(rng.randrange(p) for _ in range(n)) for _ in range(mode.count))
+        return _span((col for tup in tuples for col in self._tuple_columns(words, tup)),
                      len(words))
 
     # -- public operations ------------------------------------------------
 
-    def codimension(self, n: int, mode: Mode = ExactMode()) -> int:
-        """c_n: exact mode reads it off the cocharacter, sum m_lambda
-        d_lambda; sampled mode takes the rank of sampled columns."""
-        if isinstance(mode, ExactMode):
+    def codimension(self, n: int, mode: SampledMode | None = None) -> int:
+        """c_n: exact (no mode) reads it off the cocharacter, sum m_lambda
+        d_lambda; a sample takes the rank of sampled columns."""
+        if mode is None:
             return self.cocharacter(n).codimension_sum
         return self.sampled_columns(n, mode).rank
 
@@ -479,16 +450,14 @@ class CodimEngine:
                     out[key] = out.get(key, 0) + c * x
         return {key: x for key, x in out.items() if x}
 
-    def is_identity(self, f: MultilinearPolynomial, mode: Mode = ExactMode()) -> bool:
-        """Evaluates f at one generic point in exact mode (x_1 in the
-        slice), which is sound and complete; sampled mode evaluates f at
-        the sampled basis tuples and stops at the first nonzero value, so
-        True means "not refuted"."""
+    def is_identity(self, f: MultilinearPolynomial) -> bool:
+        """Whether f is an identity of L: its value at one generic point
+        (x_1 in the slice) is zero, which is sound and complete.  It
+        needs dim(L)^n points of budget at degree n."""
         if f.is_zero():
             return True
-        mu = (1,) * f.degree
-        return not any(self.pairing(f, self._values(mu, point))
-                       for point in self._points(f.degree, mode))
+        self._require_budget(self.p ** f.degree)
+        return not self.pairing(f, self._values((1,) * f.degree))
 
     def _contents(self, n: int) -> Iterator[tuple[int, ...]]:
         """The contents `cocharacter` ranks, each once: those of the shapes
@@ -526,7 +495,7 @@ class CodimEngine:
             rows.append(CocharacterRow(shape, m, hook_dim(shape)))
         return CocharacterTable(n, tuple(rows))
 
-    def capelli_holds(self, t: int, n: int, mode: Mode = ExactMode()) -> bool:
+    def capelli_holds(self, t: int, n: int, mode: SampledMode | None = None) -> bool:
         """True iff every polynomial of P_n alternating on some t variables
         is an identity.  Alternations of canonical basis words over every
         t-subset span all such polynomials, so a full pass (`full_pass`)
@@ -570,10 +539,10 @@ def _lie_absent(parts: tuple[int, ...]) -> bool:
             or parts in ((2, 2), (2, 2, 2)))
 
 
-def full_pass(n: int, mode: Mode) -> bool:
+def full_pass(n: int, mode: SampledMode | None = None) -> bool:
     """Whether an alternation scan at degree n covers every basis word:
-    exact mode, or a sample of at least (n-1)! orderings."""
-    return isinstance(mode, ExactMode) or mode.count >= dim_Pn(n)
+    exact (no mode), or a sample of at least (n-1)! orderings."""
+    return mode is None or mode.count >= dim_Pn(n)
 
 
 def _assignment_count(n: int, r: int, k: int) -> int:
@@ -676,7 +645,7 @@ class _AlternatedChecker:
         scale = Fraction(order_sign, engine.scale ** (n - 1))
         return assign, tuple(scale * x for x in states[key])
 
-    def scan(self, n: int, r: int, k: int, mode: Mode):
+    def scan(self, n: int, r: int, k: int, mode: SampledMode | None = None):
         """(checks, exhaustive, hit) over alternations of degree-n words on
         the first family F0 = ((1..r), (r+1..2r), ...) of k disjoint
         r-sets; hit is the first nonzero (word, sets, assignment, value)
@@ -694,10 +663,6 @@ class _AlternatedChecker:
         hit, it raises with the checks it would run, (n-1)! or
         `mode.count`; and `find_nonzero` raises, with no required count,
         once one check walks more states than the budget."""
-        if not isinstance(mode, (ExactMode, SampledMode)):
-            raise MalformedInputError(
-                "alternation checks support exact or sampled mode"
-            )
         nwords = dim_Pn(n)
         exhaustive = full_pass(n, mode)
         runs = nwords if exhaustive else mode.count

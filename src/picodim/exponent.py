@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import HypothesisFailure, MalformedInputError, count_text
-from .evaluation import CodimEngine, ExactMode, Mode, _AlternatedChecker
+from .evaluation import CodimEngine, SampledMode, _AlternatedChecker
 from .freelie import (
     AltSpec,
     MultilinearPolynomial,
@@ -237,7 +237,7 @@ class UpperVerdict:
 def verify_upper(
     algebra: LieAlgebra,
     spec: QPolySpec,
-    mode: Mode = ExactMode(),
+    mode: SampledMode | None = None,
     engine: CodimEngine | None = None,
 ) -> UpperVerdict:
     """Check that alternations on k disjoint (d+1)-sets are identities.
@@ -313,7 +313,7 @@ def find_lower_witness(
     checker = _AlternatedChecker(engine)
     for n in range(r * k, n_max + 1):
         spec = QPolySpec(r, k, n)
-        _, _, hit = checker.scan(n, r, k, ExactMode())
+        _, _, hit = checker.scan(n, r, k)
         if hit is not None:
             return LowerWitness(spec, *hit)
     return None
@@ -348,7 +348,9 @@ def growth_report(
     engine: CodimEngine | None = None,
 ) -> GrowthReport:
     """c_n, l_n and c_n^(1/n) for n = 1..n_max, each row read off one
-    exact cocharacter table."""
+    exact cocharacter table.  An n_max below 1 is malformed."""
+    if n_max < 1:
+        raise MalformedInputError(f"max n {n_max} is below 1: no degree to tabulate")
     engine = engine or CodimEngine(algebra)
     rows = []
     for n in range(1, n_max + 1):

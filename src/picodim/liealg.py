@@ -50,7 +50,7 @@ from .linalg import (
     mat_mul,
     mat_vec,
     parse_fraction,
-    rank_exact,
+    rank,
     sparse,
     sparse_kernel,
     unit_vec,
@@ -396,7 +396,7 @@ def simple_decomposition(algebra: LieAlgebra) -> list[Subspace]:
     if p == 0:
         raise NotSemisimpleError("zero algebra has no simple decomposition")
     kappa = killing_form(algebra)
-    if rank_exact(kappa) != p:
+    if rank(kappa) != p:
         raise NotSemisimpleError("Killing form is degenerate")
     cent = centroid(algebra)
     if len(cent) == 1:

@@ -125,14 +125,10 @@ def rref(rows: Sequence[Vector]) -> tuple[Vector, ...]:
     return tuple(_dense(pivots[c], ncols) for c in sorted(pivots))
 
 
-def rank_exact(m: Matrix) -> int:
-    return len(rref(m))
-
-
 def rank(m: Matrix) -> int:
     if m and any(len(r) != len(m[0]) for r in m):
         raise MalformedInputError("inconsistent row lengths")
-    return rank_exact(m)
+    return len(rref(m))
 
 
 class Subspace:

@@ -58,7 +58,7 @@ from picodim.linalg import (
     is_zero_vec,
     mat_mul,
     mat_vec,
-    rank_exact,
+    rank,
     sparse_kernel,
     vec_add,
     vec_scale,
@@ -420,7 +420,7 @@ def randomized_simple_decomposition(algebra: LieAlgebra, seed: int):
     of the spectral idempotents of one random centroid element, retried
     up to 8 times until its minimal polynomial has the centroid's degree."""
     p = algebra.dim
-    if p == 0 or rank_exact(killing_form(algebra)) != p:
+    if p == 0 or rank(killing_form(algebra)) != p:
         raise NotSemisimpleError("not semisimple")
     cent = centroid(algebra)
     m = len(cent)
@@ -525,8 +525,7 @@ def evaluator_sampled_columns(engine: CodimEngine, n: int,
 
 def pairing_is_identity(f: MultilinearPolynomial, space: _FractionColumns) -> bool:
     """Oracle for `CodimEngine.is_identity`: f pairs to zero with every
-    kept column of `multilinear_columns` (exact mode) or
-    `evaluator_sampled_columns` (sampled mode)."""
+    kept column of `multilinear_columns`."""
     coeffs = f.coefficient_vector(basis_Pn(f.degree))
     return all(
         sum((c * x for c, x in zip(coeffs, col) if c != 0), Fraction(0)) == 0

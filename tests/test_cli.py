@@ -1,3 +1,4 @@
+import doctest
 import io
 import json
 import os
@@ -345,6 +346,19 @@ def test_readme_command_block_lists_the_commands():
     assert [line.split()[1] for line in block.splitlines()] == list(cli.COMMANDS)
 
 
+def test_readme_python_example_runs():
+    # the closing fence is not read as expected output, as it is by
+    # `python -m doctest README.md`
+    readme = (ROOT / "README.md").read_text()
+    blocks = [part.split("```", 1)[0] for part in readme.split("```python\n")[1:]]
+    assert blocks
+    for block in blocks:
+        test = doctest.DocTestParser().get_doctest(block, {}, "README.md", "README.md", 0)
+        out = io.StringIO()
+        result = doctest.DocTestRunner().run(test, out=out.write)
+        assert result.attempted and not result.failed, out.getvalue()
+
+
 def test_global_flags_must_be_spelled_out():
     # abbreviations are off, so the command's --n is never read as
     # --no-cache; the price is that --budg is a usage error
@@ -383,6 +397,13 @@ def test_find_witness_below_degree_rk_is_malformed_input():
         "error": "malformed-input",
         "message": "max n 2 is below r*k = 3: no degree to search",
     })
+    # growth has no degree to tabulate below n = 1
+    for max_n in ("0", "-1"):
+        code, payload = invoke_json("growth", "sl2", "--max-n", max_n, "--no-cache")
+        assert (code, payload) == (2, {
+            "error": "malformed-input",
+            "message": f"max n {max_n} is below 1: no degree to tabulate",
+        })
 
 
 def test_basis_names_must_be_distinct_strings(tmp_path):

@@ -8,7 +8,6 @@ import pytest
 from picodim import (
     CATALOG_NAMES,
     CodimEngine,
-    ExactMode,
     QPolySpec,
     SampledMode,
     Subspace,
@@ -36,7 +35,7 @@ from picodim.freelie import (
     rewrite,
     rewrite_word,
 )
-from picodim.linalg import is_zero_vec, kernel, rank_exact, unit_vec
+from picodim.linalg import is_zero_vec, kernel, rank, unit_vec
 from picodim.symgroup import partitions
 
 from helpers import (
@@ -105,7 +104,6 @@ def test_is_identity_jacobi_relation_rewrites_to_zero():
 def test_is_identity_refutation(engine_for):
     engine = engine_for("sl2")
     assert not engine.is_identity(rewrite((1, 2)))
-    assert not engine.is_identity(rewrite((1, 2)), SampledMode(count=200, seed=0))
 
 
 def test_codimension_abelian():
@@ -200,19 +198,38 @@ def test_sampled_columns_stop_drawing_at_full_rank(monkeypatch):
 
 
 def test_unknown_mode_is_rejected(engine_for):
-    # the two modes are values: equal fields compare and hash equal
+    # a sample is a value: equal fields compare and hash equal
     assert SampledMode(5, 1) == SampledMode(5, 1) == SampledMode(count=5, seed=1)
     assert hash(SampledMode(5, 1)) == hash(SampledMode(5, 1))
-    assert SampledMode(5, 1) != SampledMode(5, 2) and SampledMode(5) != ExactMode()
-    assert ExactMode() == ExactMode() and len({ExactMode(), ExactMode()}) == 1
+    assert SampledMode(5, 1) != SampledMode(5, 2)
+    # exact is no mode, so any other value is read as a sample and fails
+    # there, and is_identity takes no mode at all; none answers as exact
     engine = engine_for("sl2")
     for call in (
         lambda: engine.codimension(2, "fast"),
         lambda: engine.is_identity(rewrite((1, 2)), "fast"),
         lambda: engine.capelli_holds(2, 3, "fast"),
     ):
-        with pytest.raises(MalformedInputError):
+        with pytest.raises((AttributeError, TypeError)):
             call()
+
+
+def test_no_mode_is_exact(engine_for):
+    # exact is no sample: None, the default of every mode parameter
+    engine = engine_for("sl2")
+    for n in range(1, 8):
+        assert full_pass(n, None) and full_pass(n)
+    assert [engine.codimension(n, None) for n in range(1, 6)] == [
+        engine.codimension(n) for n in range(1, 6)] == [1, 1, 2, 6, 14]
+    for t, n, holds in ((2, 3, False), (3, 4, False), (4, 5, True)):
+        assert engine.capelli_holds(t, n, None) is engine.capelli_holds(t, n) is holds
+    for spec in (QPolySpec(4, 1, 5), QPolySpec(3, 1, 4)):
+        given, default = (verify_upper(engine.algebra, spec, *mode, engine=engine)
+                          for mode in ((None,), ()))
+        assert (given.passed, given.checks, given.exhaustive,
+                given.counterexample is None) == (
+            default.passed, default.checks, default.exhaustive,
+            default.counterexample is None)
 
 
 def test_codimension_budget_exceeded():
@@ -271,12 +288,10 @@ def _random_polynomials(rng, words, space, count):
 
 
 def test_is_identity_matches_pairing_oracle(engine_for):
-    # evaluation decides as the pairing with kept columns that it
-    # replaced: exact mode against the columns of every basis tuple,
-    # sampled mode against those of the same drawn tuples (several
-    # counts and seeds); every catalog algebra and one base change of
-    # each (D > 1), n <= 5, but exact mode at n = 5 skips the base
-    # changes of the two 6-dim algebras (a minute of oracle each);
+    # evaluation decides as the pairing with the kept columns of every
+    # basis tuple that it replaced; every catalog algebra and one base
+    # change of each (D > 1), n <= 5, but n = 5 skips the base changes
+    # of the two 6-dim algebras (a minute of oracle each);
     # solvable2's identities are not closed under reversing the prefix
     # of each basis word, so it also tells a wrong word order apart
     rng = random.Random(12)
@@ -285,27 +300,19 @@ def test_is_identity_matches_pairing_oracle(engine_for):
         algebra = catalog_algebra(name)
         moved = change_basis(algebra, random_invertible(rng, algebra.dim))
         engines += [(engine_for(name), 5), (CodimEngine(moved), 5 if algebra.dim < 6 else 4)]
-    verdicts = {ExactMode: [], SampledMode: []}
-    for engine, exact_top in engines:
-        for n in range(1, 6):
+    verdicts = []
+    for engine, top in engines:
+        for n in range(1, top + 1):
             words = basis_Pn(n)
-            modes = [SampledMode(count, seed) for count, seed in ((1, n), (3, n + 1), (20, 0))]
-            spaces = [
-                (mode, evaluator_sampled_columns(engine, n, mode)) for mode in modes
-            ]
-            if n <= exact_top:
-                space = multilinear_columns(engine, n)
-                assert engine.exhaustive_columns(n).rank == len(space.kept)
-                spaces.append((ExactMode(), space))
-            for mode, space in spaces:
-                for f in _random_polynomials(rng, words, space, 3):
-                    got = engine.is_identity(f, mode)
-                    assert got == pairing_is_identity(f, space), (
-                        engine.algebra.labels, n, mode, f
-                    )
-                    verdicts[type(mode)].append(got)
-    for found in verdicts.values():
-        assert found.count(True) > 100 and found.count(False) > 100
+            space = multilinear_columns(engine, n)
+            assert engine.exhaustive_columns(n).rank == len(space.kept)
+            for f in _random_polynomials(rng, words, space, 3):
+                got = engine.is_identity(f)
+                assert got == pairing_is_identity(f, space), (
+                    engine.algebra.labels, n, f
+                )
+                verdicts.append(got)
+    assert verdicts.count(True) > 100 and verdicts.count(False) > 100
 
 
 def test_is_identity_eliminates_nothing(monkeypatch):
@@ -318,11 +325,10 @@ def test_is_identity_eliminates_nothing(monkeypatch):
         CodimEngine(catalog_algebra(name))
         for name in ("sl2", "sl2_natural", "heisenberg3", "abelian3")
     )
-    for mode in (ExactMode(), SampledMode(count=50, seed=1)):
-        assert not sl2.is_identity(rewrite((1, 2)), mode)
-        assert not natural.is_identity(rewrite(((1, 2), (3, 4))), mode)
-        assert heisenberg.is_identity(rewrite_word((1, 2, 3), 3), mode)
-        assert abelian.is_identity(rewrite((1, 2)), mode)
+    assert not sl2.is_identity(rewrite((1, 2)))
+    assert not natural.is_identity(rewrite(((1, 2), (3, 4))))
+    assert heisenberg.is_identity(rewrite_word((1, 2, 3), 3))
+    assert abelian.is_identity(rewrite((1, 2)))
 
 
 def test_exact_codimension_and_is_identity_skip_the_tuple_sweep(monkeypatch):
@@ -586,9 +592,9 @@ def test_column_space_rank_matches_rank_exact():
     # every caller inserts integer columns (kernel values times D^(n-1))
     rng = random.Random(17)
     for _ in range(200):
-        length, rank = rng.randint(1, 6), rng.randint(0, 4)
+        length, count = rng.randint(1, 6), rng.randint(0, 4)
         generators = [
-            tuple(rng.randint(-5, 5) for _ in range(length)) for _ in range(rank)
+            tuple(rng.randint(-5, 5) for _ in range(length)) for _ in range(count)
         ]
         columns = []
         for _ in range(rng.randint(1, 9)):
@@ -607,11 +613,11 @@ def test_column_space_rank_matches_rank_exact():
         space = _ColumnSpace()
         for col in columns:
             space.insert(col)
-        assert space.rank == rank_exact(tuple(columns))
+        assert space.rank == rank(tuple(columns))
         # the pivots are independent and span the inserted columns
         pivots = tuple(tuple(col) for _, col in space.pivots)
-        assert rank_exact(pivots) == space.rank
-        assert rank_exact(tuple(columns) + pivots) == space.rank
+        assert rank(pivots) == space.rank
+        assert rank(tuple(columns) + pivots) == space.rank
 
 
 def test_capelli_abelian():
@@ -743,7 +749,7 @@ def test_alternation_scans_share_one_policy():
             engine = CodimEngine(algebra, tuple_budget=budget)
             for t in range(1, 5):
                 for n in range(t, 7):
-                    for mode in (ExactMode(), SampledMode(5, 1), SampledMode(100, 2)):
+                    for mode in (None, SampledMode(5, 1), SampledMode(100, 2)):
                         cell = (name, budget, t, n, mode)
                         try:
                             holds = engine.capelli_holds(t, n, mode)
@@ -917,7 +923,7 @@ def test_one_family_scan_matches_all_families_oracle(engine_for):
                     expected = all_families_scan(engine, n, r, k)
                     nwords = len(basis_Pn(n))
                     population = len(list(_set_assignments(n, r, k))) * nwords
-                    for mode in (ExactMode(), SampledMode(nwords, 2),
+                    for mode in (None, SampledMode(nwords, 2),
                                  SampledMode(population, 3),
                                  SampledMode(population + 5, 4)):
                         assert checker.scan(n, r, k, mode) == expected, (
@@ -937,10 +943,6 @@ def test_engine_evaluates_no_cached_words(monkeypatch):
     natural = catalog_algebra("sl2_natural")
     engine, sampled = CodimEngine(natural), SampledMode(count=50, seed=1)
     assert [engine.codimension(n, sampled) for n in range(1, 6)] == [1, 1, 2, 5, 7]
-    assert not engine.is_identity(rewrite((1, 2)), sampled)
-    assert CodimEngine(catalog_algebra("heisenberg3")).is_identity(
-        rewrite_word((1, 2, 3), 3), sampled
-    )
     report = growth_report(natural, 4)
     assert [(r.codimension, r.colength) for r in report.rows] == [
         (1, 1), (1, 1), (2, 1), (6, 2)

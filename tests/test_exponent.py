@@ -2,7 +2,6 @@ import pytest
 
 from picodim import (
     CodimEngine,
-    ExactMode,
     QPolySpec,
     SampledMode,
     analyze,
@@ -224,7 +223,7 @@ def test_verify_upper_rank_above_dimension_reports_a_full_pass(engine_for):
     engine = engine_for("sl2")
     spec = QPolySpec(r=4, k=1, n=5)
     for mode, checks, exhaustive in (
-        (ExactMode(), 120, True),
+        (None, 120, True),
         (SampledMode(count=10), 10, False),
         (SampledMode(count=500), 120, True),
     ):
@@ -313,7 +312,7 @@ def test_sandwich_coherence(engine_for):
         report = pi_exponent_candidate(engine.algebra)
         d, q = report.d, report.structure.nil_class
         spec = QPolySpec(r=d + 1, k=q, n=(d + 1) * q)
-        mode = SampledMode(count=10, seed=0) if spec.n > 5 else ExactMode()
+        mode = SampledMode(count=10, seed=0) if spec.n > 5 else None
         verdict = verify_upper(engine.algebra, spec, mode=mode, engine=engine)
         assert verdict.passed
         witness = find_lower_witness(engine.algebra, r=d, k=1, n_max=d + 2,

@@ -131,7 +131,7 @@ def _dense_layer(monkeypatch):
         Subspace, "insert",
         lambda self, v: Subspace.from_vectors(self.ambient, self.basis + (v,)))
     monkeypatch.setattr(liealg, "kernel", dense_kernel_space)
-    monkeypatch.setattr(liealg, "rank_exact", lambda m: len(dense_rref(m)))
+    monkeypatch.setattr(liealg, "rank", lambda m: len(dense_rref(m)))
 
 
 def _structure(algebra):
