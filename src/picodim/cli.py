@@ -50,8 +50,8 @@ SCHEMA_VERSION = 1
 # provenance and cache keys carry it with the library version, so a
 # changed algorithm never replays a result its predecessor computed.
 ALGORITHMS = {
-    "codim": "cartan-slice-ranks",
-    "cocharacter": "cartan-slice-ranks",
+    "codim": "cartan-slice-primitive-columns",
+    "cocharacter": "cartan-slice-primitive-columns",
 }
 
 
@@ -154,56 +154,54 @@ def _cocharacter_payload(table: CocharacterTable) -> dict:
 
 
 def _emit(payload: dict, args, out) -> None:
-    payload = dict(payload)
-    payload["provenance"] = _provenance(args)
+    """The report in one write: JSON with its provenance, or CSV or text
+    from one walk of its fields."""
     if args.format == "json":
-        out.write(json.dumps(payload, indent=2, default=str) + "\n")
+        payload = {**payload, "provenance": _provenance(args)}
+        text = json.dumps(payload, indent=2, default=str) + "\n"
     elif args.format == "csv":
-        out.write(_to_csv(payload))
+        import csv
+
+        fields = list(_fields(payload))
+        # a report with a table prints only its tables
+        tables = [row for _, cell in fields if isinstance(cell, list) for row in cell]
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(tables or fields)
+        text = buf.getvalue()
     else:
-        _emit_text(payload, out)
+        lines = []
+        for key, cell in _fields(payload):
+            if isinstance(cell, list):  # a table: a k=v line per row
+                lines.append(f"{key}:")
+                lines += ["  " + "  ".join(map("=".join, zip(cell[0], row)))
+                          for row in cell[1:]]
+            else:
+                lines.append(f"{key}: {cell}")
+        text = "\n".join(lines) + "\n"
+    out.write(text)
 
 
-def _to_csv(payload: dict) -> str:
-    buf = io.StringIO()
-    rows = payload.get("rows")
-    if isinstance(rows, list) and rows and isinstance(rows[0], dict):
-        header = list(rows[0].keys())
-        buf.write(",".join(header) + "\n")
-        for row in rows:
-            buf.write(
-                ",".join(_csv_cell(row.get(h)) for h in header) + "\n"
-            )
-    else:
-        for k, v in payload.items():
-            if k == "provenance":
-                continue
-            buf.write(f"{k},{_csv_cell(v)}\n")
-    return buf.getvalue()
-
-
-def _csv_cell(value) -> str:
-    if isinstance(value, list):
-        return '"' + " ".join(str(v) for v in value) + '"'
-    return str(value)
-
-
-def _emit_text(payload: dict, out, indent: int = 0) -> None:
-    pad = "  " * indent
+def _fields(payload: dict, prefix: str = ""):
+    """(dotted key, cell) for each value of a report and of its nested
+    objects, and (key, [header, *rows]) for a list of objects, a table."""
     for k, v in payload.items():
-        if k == "provenance":
-            continue
         if isinstance(v, dict):
-            out.write(f"{pad}{k}:\n")
-            _emit_text(v, out, indent + 1)
+            yield from _fields(v, f"{prefix}{k}.")
         elif isinstance(v, list) and v and isinstance(v[0], dict):
-            out.write(f"{pad}{k}:\n")
-            for row in v:
-                out.write(
-                    pad + "  " + "  ".join(f"{kk}={vv}" for kk, vv in row.items()) + "\n"
-                )
+            header = list(v[0])
+            yield prefix + k, [header] + [[_cell(row.get(h)) for h in header] for row in v]
         else:
-            out.write(f"{pad}{k}: {v}\n")
+            yield prefix + k, _cell(v)
+
+
+def _cell(value) -> str:
+    """A list of scalars as one space-separated cell, any other list as
+    compact JSON, and a scalar as its str."""
+    if not isinstance(value, list):
+        return str(value)
+    if any(isinstance(x, (list, dict)) for x in value):
+        return json.dumps(value, separators=(",", ":"), default=str)
+    return " ".join(map(str, value))
 
 
 def _structure_payload(algebra: LieAlgebra) -> dict:
@@ -471,7 +469,15 @@ def _dispatch(args) -> dict:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early: end quietly, with stdout on
+        # devnull so that the interpreter's final flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 0
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -14,8 +14,9 @@ subalgebra of least dimension r that `liealg.engel_subalgebra` finds,
 once per engine, and `CodimEngine.slice` holds as integer rows.
 And `cocharacter` ranks nothing for the shapes Lie_n lacks
 (`_lie_absent`), so the content 1^n is ranked only for n <= 2.  `_span`
-is the one elimination loop: it feeds distinct columns to
-`_ColumnSpace`, fraction-free over the integers, until the rank is full.
+is the one elimination loop: it feeds the columns distinct up to a
+scalar to `_ColumnSpace`, fraction-free over the integers, until the
+rank is full.
 Exact m_lambda work is budgeted in generic evaluation points, summed
 over the contents mu that `cocharacter` ranks (`CodimEngine.cost`):
 prod_i C(d_i + mu_i - 1, mu_i), with d_1 = r when mu has two or more
@@ -174,12 +175,19 @@ class _ColumnSpace:
 
 
 def _span(columns: Iterable, limit: int) -> _ColumnSpace:
-    """The column space of `columns`, each distinct column inserted once;
-    it stops once the rank reaches `limit`, the number of rows, so a
-    lazy `columns` is not drawn further."""
+    """The column space of the nonzero `columns`, each inserted once up
+    to a scalar: a column is divided by the gcd of its entries, signed
+    so that its first nonzero entry is positive, and skipped when an
+    earlier one gave the same.  It stops once the rank reaches `limit`,
+    the number of rows, so a lazy `columns` is not drawn further."""
     space = _ColumnSpace()
     seen: set = set()
     for col in columns:
+        g = gcd(*col)
+        if next(x for x in col if x) < 0:
+            g = -g
+        if g != 1:
+            col = tuple(x // g for x in col)
         if col in seen:
             continue
         seen.add(col)
@@ -472,6 +480,15 @@ class CodimEngine:
                         seen.add(mu)
                         yield mu
 
+    def require_cocharacters(self, degrees: Iterable[int]) -> None:
+        """Raise unless the cocharacter tables of `degrees` fit the budget
+        together: the points of every content that they rank, summed."""
+        contents = (mu for n in degrees for mu in self._contents(n))
+        # each content costs at least 1, so budget + 1 of them decide the check
+        self._require_budget(sum(
+            self.cost(mu) for mu in itertools.islice(contents, self.tuple_budget + 1)
+        ))
+
     def cocharacter(self, n: int) -> CocharacterTable:
         """m_lambda for every partition of n, read off multihomogeneous
         ranks: m_lambda = sum over sigma in S_m of
@@ -480,11 +497,7 @@ class CodimEngine:
         lambda (`_lie_absent`).  There is no sampled mode: a rank over
         sampled columns bounds each h(mu) from below, but an alternating
         sum of such bounds bounds nothing."""
-        # each content costs at least 1, so budget + 1 of them decide the check
-        self._require_budget(sum(
-            self.cost(mu)
-            for mu in itertools.islice(self._contents(n), self.tuple_budget + 1)
-        ))
+        self.require_cocharacters([n])
         rows = []
         for shape in partitions(n):
             m = 0

@@ -30,7 +30,7 @@ from .freelie import (
     format_word,
 )
 from .liealg import LieAlgebra, StructureReport, analyze
-from .linalg import Subspace, Vector, format_fraction, is_zero_vec
+from .linalg import Subspace, Vector, is_zero_vec
 
 # witness products are expression trees: leaf = ("elem", vector),
 # node = ("br", left, right); leaves re-evaluate to the exact stored value
@@ -68,7 +68,7 @@ def vector_label(algebra: LieAlgebra, v: Vector) -> str:
         elif c == -1:
             parts.append(f"-{name}")
         else:
-            parts.append(f"{'+' if c > 0 else '-'}{format_fraction(abs(c))}*{name}")
+            parts.append(f"{'+' if c > 0 else '-'}{abs(c)}*{name}")
     if not parts:
         return "0"
     joined = "".join(parts)
@@ -348,10 +348,12 @@ def growth_report(
     engine: CodimEngine | None = None,
 ) -> GrowthReport:
     """c_n, l_n and c_n^(1/n) for n = 1..n_max, each row read off one
-    exact cocharacter table.  An n_max below 1 is malformed."""
+    exact cocharacter table; the budget bounds the tables together,
+    before the first.  An n_max below 1 is malformed."""
     if n_max < 1:
         raise MalformedInputError(f"max n {n_max} is below 1: no degree to tabulate")
     engine = engine or CodimEngine(algebra)
+    engine.require_cocharacters(range(1, n_max + 1))
     rows = []
     for n in range(1, n_max + 1):
         table = engine.cocharacter(n)

@@ -43,7 +43,6 @@ from .linalg import (
     Matrix,
     Subspace,
     Vector,
-    format_fraction,
     invert,
     is_zero_vec,
     kernel,
@@ -519,7 +518,7 @@ def to_json_dict(algebra: LieAlgebra) -> dict:
     brackets = {}
     for (i, j), value in sorted(algebra.table.items()):
         entries = [
-            [format_fraction(c), k + 1] for k, c in enumerate(value) if c != 0
+            [str(c), k + 1] for k, c in enumerate(value) if c != 0
         ]
         brackets[f"{i+1},{j+1}"] = entries
     return {

@@ -303,10 +303,6 @@ def mat_vec(a: Matrix, v: Vector) -> Vector:
     return tuple(out)
 
 
-def format_fraction(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
 def parse_fraction(s) -> Fraction:
     if isinstance(s, int) and not isinstance(s, bool):
         return Fraction(s)

@@ -14,7 +14,8 @@ codimensions and cocharacters, the `Evaluator` word-cache loop that the
 kernel replaced in sampled columns, the pairing with kept columns
 that evaluation replaced in identity decisions, the unsliced
 multihomogeneous ranks that the Cartan slice and the skipped Lie-absent
-shapes replaced, the integer slice selection that
+shapes replaced, the exact-duplicate column selection that skipping
+columns equal up to a scalar replaced, the integer slice selection that
 `liealg.engel_subalgebra` replaced, the full rounds that the semi-naive
 `exponent.height_spans` fixpoint replaced, and the Kraskiewicz-Weyman
 count of each shape in Lie_n.
@@ -33,8 +34,8 @@ from picodim.evaluation import (
     Evaluator,
     SampledMode,
     _AlternatedChecker,
+    _ColumnSpace,
     _alternating_contents,
-    _span,
     _transpose,
 )
 from picodim.freelie import (
@@ -774,7 +775,27 @@ def unsliced_values(engine: CodimEngine, mu) -> dict:
 def unsliced_rank(engine: CodimEngine, mu) -> int:
     """Oracle for `CodimEngine.rank`: h(mu) from `unsliced_values`."""
     values = unsliced_values(engine, mu)
-    return _span(_transpose(values, list(values)), len(values)).rank
+    return exact_duplicate_span(_transpose(values, list(values)), len(values)).rank
+
+
+# ---------------------------------------------------------------------------
+# Column selection that skips only exact duplicates, which skipping columns
+# equal up to a scalar replaced in `evaluation._span`
+
+
+def exact_duplicate_span(columns, limit: int) -> _ColumnSpace:
+    """Oracle for `evaluation._span`: each distinct column inserted once,
+    until the rank reaches `limit`."""
+    space = _ColumnSpace()
+    seen: set = set()
+    for col in columns:
+        if col in seen:
+            continue
+        seen.add(col)
+        space.insert(col)
+        if space.rank == limit:
+            break
+    return space
 
 
 def unsliced_cocharacter(engine: CodimEngine, n: int, ranks=None) -> dict:

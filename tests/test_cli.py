@@ -1,3 +1,4 @@
+import csv
 import doctest
 import io
 import json
@@ -148,6 +149,98 @@ def test_growth_command_csv_format():
     lines = text.strip().splitlines()
     assert lines[0].startswith("n,codimension,colength")
     assert lines[1].startswith("1,1,1")
+
+
+# a run of every command on sl2, and the reports with a failing check,
+# a fraction-free witness product and a bracket list of lists
+REPORT_RUNS = (
+    ("catalog",), ("validate", "sl2"), ("analyze", "sl2"), ("exponent", "sl2"),
+    ("codim", "sl2", "--n", "4"), ("cocharacter", "sl2", "--n", "4"),
+    ("capelli", "sl2", "--t", "4", "--n", "4"), ("verify-upper", "sl2"),
+    ("find-witness", "sl2", "--max-n", "5"), ("growth", "sl2", "--max-n", "4"),
+    ("exponent", "sl2_natural"), ("verify-upper", "sl2", "--r", "3", "--k", "1", "--n", "4"),
+    ("validate", "heisenberg3"),
+)
+
+
+def _json_fields(payload, prefix=""):
+    """(dotted key, value) of each field of a JSON report, provenance skipped."""
+    for k, v in payload.items():
+        if k == "provenance":
+            continue
+        if isinstance(v, dict):
+            yield from _json_fields(v, f"{prefix}{k}.")
+        else:
+            yield prefix + k, v
+
+
+def _expected_cell(value) -> str:
+    if not isinstance(value, list):
+        return str(value)
+    if any(isinstance(x, list) for x in value):
+        return json.dumps(value, separators=(",", ":"))
+    return " ".join(str(x) for x in value)
+
+
+def test_csv_and_text_reports_walk_the_json_fields():
+    # csv.reader splits a report into rows of one width, the header's for
+    # a table and 2 otherwise, and each cell is what its JSON value
+    # prints as; text gives the same cells as key: cell and k=v lines
+    assert {argv[0] for argv in REPORT_RUNS} == set(cli.COMMANDS)
+    for argv in REPORT_RUNS:
+        _, payload = invoke_json(*argv, "--no-cache")
+        pairs, tables, lines = [], [], []
+        for key, value in _json_fields(payload):
+            if isinstance(value, list) and value and isinstance(value[0], dict):
+                header = list(value[0])
+                cells = [[_expected_cell(obj[h]) for h in header] for obj in value]
+                tables += [header] + cells
+                lines += [f"{key}:"] + ["  " + "  ".join(f"{h}={c}" for h, c in zip(header, row))
+                                        for row in cells]
+            else:
+                pairs.append([key, _expected_cell(value)])
+                lines.append(f"{key}: {_expected_cell(value)}")
+        code, text = invoke(*argv, "--no-cache", "--format", "csv")
+        assert code == 0 and list(csv.reader(io.StringIO(text))) == (tables or pairs), argv
+        code, text = invoke(*argv, "--no-cache", "--format", "text")
+        assert code == 0 and text == "\n".join(lines) + "\n", argv
+    # nested keys are dotted, and the failing check's counterexample,
+    # commas and all, reads back whole
+    assert "structure.component_dims: 3\n" in invoke(
+        "exponent", "sl2_natural", "--no-cache", "--format", "text")[1]
+    _, text = invoke(*REPORT_RUNS[-2], "--no-cache", "--format", "csv")
+    assert dict(csv.reader(io.StringIO(text)))["counterexample"] == (
+        "Alt[{x1,x2,x3}] x1(x2(x3(x4))) at (x1=e, x2=h, x3=f, x4=e) = -8*e")
+
+
+def test_growth_budget_bounds_the_whole_table_first(monkeypatch):
+    # degrees 1..6 of sl2 need 189 points together, so 188 ranks nothing
+    def forbidden(*args):
+        raise AssertionError("growth ranked a content over budget")
+
+    argv = ("growth", "sl2", "--max-n", "6", "--no-cache")
+    with monkeypatch.context() as patch:
+        patch.setattr(CodimEngine, "_space", forbidden)
+        code, payload = invoke_json(*argv, "--budget", "188")
+    assert code == 4 and payload["error"] == "budget-exceeded"
+    assert "needs 189 " in payload["message"]
+    code, payload = invoke_json(*argv, "--budget", "189")
+    assert code == 0
+    assert [row["codimension"] for row in payload["rows"]] == [1, 1, 2, 6, 14, 36]
+
+
+def test_reader_closing_stdout_early_ends_the_run_quietly():
+    # the ~400 KB report outgrows the pipe, so the write meets the closed
+    # pipe whatever the timing
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "picodim.cli", "cocharacter", "abelian(1)", "--n", "30",
+         "--format", "text", "--no-cache"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"n: 30\n"
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    assert (proc.wait(timeout=60), stderr) == (0, b"")
 
 
 def test_validate_catalog_name():
@@ -567,7 +660,7 @@ def test_cli_import_creates_no_dataclasses_and_loads_no_hashlib():
     # every CLI run is a fresh interpreter, so what `import picodim.cli`
     # loads is paid by each run; -S keeps site hooks out of the result
     script = ("import picodim.cli, sys; "
-              "print(sorted({'dataclasses', 'inspect', 'hashlib'} & set(sys.modules)))")
+              "print(sorted({'dataclasses', 'inspect', 'hashlib', 'csv'} & set(sys.modules)))")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, "-S", "-c", script],
                           capture_output=True, text=True, env=env, timeout=60)
@@ -581,12 +674,12 @@ def test_cached_run_loads_no_hashlib(tmp_path):
     script = ("import io, sys; from picodim.cli import run; "
               f"argv = ['codim', 'sl2', '--n', '3', '--cache', {str(tmp_path / 'c.jsonl')!r}]; "
               "print([run(argv, io.StringIO()) for _ in range(2)], "
-              "'hashlib' in sys.modules)")
+              "sorted({'hashlib', 'csv'} & set(sys.modules)))")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, "-S", "-c", script],
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[0, 0] False"
+    assert proc.stdout.strip() == "[0, 0] []"
     assert len((tmp_path / "c.jsonl").read_text().splitlines()) == 1
 
 
@@ -616,7 +709,8 @@ def test_cache_entry_of_another_algorithm_misses(tmp_path):
     # without the library version and algorithm id, as written before
     # either entered the key, and a codim key of the multilinear column
     # rank that exact codim used before multihomogeneous ranks, and keys
-    # of the unsliced multihomogeneous ranks
+    # of the unsliced multihomogeneous ranks and of the sliced ranks
+    # that skipped only exact duplicate columns
     cache = tmp_path / "cache.jsonl"
     stale = [
         (_stale_key("cocharacter"),
@@ -624,9 +718,10 @@ def test_cache_entry_of_another_algorithm_misses(tmp_path):
         (_stale_key("codim", algorithm="multilinear-column-rank", version=__version__),
          {"n": 3, "codimension": 99, "certainty": "exact"}),
     ] + [
-        (_stale_key(command, algorithm="multihomogeneous-ranks", version=__version__),
+        (_stale_key(command, algorithm=algorithm, version=__version__),
          {"n": 3, "rows": [], "colength": 99, "codimension": 99, "certainty": "exact"})
         for command in ("cocharacter", "codim")
+        for algorithm in ("multihomogeneous-ranks", "cartan-slice-ranks")
     ]
     cache.write_text("".join(
         json.dumps({"v": 1, "key": key, "result": result}) + "\n"
@@ -637,7 +732,7 @@ def test_cache_entry_of_another_algorithm_misses(tmp_path):
         assert code == 0 and "cache" not in payload
         assert payload["codimension"] == 2
         assert payload["provenance"]["version"] == __version__
-        assert payload["provenance"]["algorithm"] == "cartan-slice-ranks"
+        assert payload["provenance"]["algorithm"] == "cartan-slice-primitive-columns"
         code, payload = invoke_json(command, "sl2", "--n", "3", "--cache", str(cache))
         assert code == 0 and payload["cache"] == "hit"
         assert payload["codimension"] == 2
@@ -673,7 +768,7 @@ def test_sampled_mode_gives_exact_cocharacter_and_growth(tmp_path):
     code, fresh = invoke_json(*argv, "--mode", "sampled", "--cache", str(cache))
     assert code == 0 and "cache" not in fresh
     assert fresh == exact
-    assert fresh["provenance"]["algorithm"] == "cartan-slice-ranks"
+    assert fresh["provenance"]["algorithm"] == "cartan-slice-primitive-columns"
     code, replay = invoke_json(*argv, "--mode", "sampled", "--cache", str(cache))
     assert code == 0 and replay.pop("cache") == "hit"
     assert replay == exact

@@ -26,6 +26,8 @@ from picodim.evaluation import (
     _alternating_contents,
     _ColumnSpace,
     _lie_absent,
+    _span,
+    _transpose,
     full_pass,
 )
 from picodim.freelie import (
@@ -44,6 +46,7 @@ from helpers import (
     all_families_scan,
     choice_pass_find_nonzero,
     evaluator_sampled_columns,
+    exact_duplicate_span,
     integer_slice,
     lie_multiplicity,
     listed_sample_scan,
@@ -501,6 +504,47 @@ def test_sliced_cocharacter_matches_unsliced_oracle(engine_for):
             assert got == unsliced_cocharacter(engine, n, ranks), (engine.algebra.labels, n)
         for mu, h in ranks.items():
             assert engine.rank(mu) == h, (engine.algebra.labels, mu)
+
+
+def test_span_up_to_scalar_matches_exact_duplicate_oracle(engine_for):
+    # skipping columns equal up to a scalar against skipping only exact
+    # duplicates, rank by rank on the slice gate: every content that each
+    # catalog cocharacter ranks for n <= 6, two random base changes of
+    # each for n <= 5 (n <= 4 in dim 6), and sl2 over Q(sqrt 2)
+    rng = random.Random(41)
+    cases = [(engine_for(name), 6) for name in CATALOG_NAMES]
+    for name in CATALOG_NAMES:
+        algebra = catalog_algebra(name)
+        cases += [
+            (CodimEngine(change_basis(algebra, random_invertible(rng, algebra.dim))),
+             5 if algebra.dim < 6 else 4)
+            for _ in range(2)
+        ]
+    cases.append((CodimEngine(sl2_over_sqrt2()), 5))
+    contents = opposite = 0
+    for engine, top in cases:
+        for n in range(1, top + 1):
+            for mu in engine._contents(n):
+                values = engine._values(mu)
+                columns = list(_transpose(values, list(values)))
+                expected = exact_duplicate_span(columns, len(values)).rank
+                assert _span(columns, len(values)).rank == expected, (
+                    engine.algebra.labels, mu)
+                distinct = set(columns)
+                opposite += sum(tuple(-x for x in col) in distinct for col in distinct)
+                contents += 1
+    # the gate sees columns that are only equal up to a sign
+    assert contents == 388 and opposite > 1000
+
+
+def test_degree_wall_values(engine_for):
+    # c_n and l_n past n = 6, where the columns equal up to a scalar
+    # are most of the span's work
+    walls = {("sl2_natural", 7): (314, 15), ("sl2_natural", 8): (918, 19),
+             ("sl2_adjoint", 8): (232, 6)}
+    for (name, n), expected in walls.items():
+        table = engine_for(name).cocharacter(n)
+        assert (table.codimension_sum, table.colength) == expected, (name, n)
 
 
 def test_skipped_shapes_are_those_lie_n_lacks(engine_for):

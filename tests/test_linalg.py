@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from picodim import Subspace, rank, span_add
 from picodim.errors import MalformedInputError
 from picodim.linalg import (
-    format_fraction,
     invert,
     kernel,
     mat_mul,
@@ -174,9 +173,7 @@ def test_rref_normalizes_pivots():
 
 
 def test_fraction_round_trip():
-    for value in (Fraction(3), Fraction(-7, 2), Fraction(0)):
-        assert parse_fraction(format_fraction(value)) == value
-    assert format_fraction(Fraction(1, 2)) == "1/2"
-    assert format_fraction(Fraction(4)) == "4"
+    for value in (Fraction(3), Fraction(-7, 2), Fraction(0), Fraction(1, 2)):
+        assert parse_fraction(str(value)) == value
     with pytest.raises(MalformedInputError):
         parse_fraction("not-a-number")
