@@ -131,9 +131,11 @@ def load_algebra(source: str) -> LieAlgebra:
             f"{source!r} is neither a catalog name nor an existing file ({reason})"
         )
     try:
-        data = json.loads(path.read_text())
+        data = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise MalformedInputError(f"{source}: invalid JSON: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise MalformedInputError(f"{source}: unreadable: {exc}") from exc
     return from_json_dict(data)
 
 

@@ -51,7 +51,7 @@ import itertools
 import random
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from math import comb, factorial, gcd, lcm
 
 from .errors import BudgetExceededError, MalformedInputError, count_text
@@ -582,44 +582,39 @@ class _AlternatedChecker:
     def find_nonzero(self, word: Word, sets: tuple[tuple[int, ...], ...]):
         """A basis assignment where the alternated word is nonzero, or None.
 
-        The assignment maps each set's variables, in the order given, to
-        a strictly increasing tuple of basis indices, and each free
-        variable to any basis index; the first nonzero one, ordered by
-        the sorted values of each set and then the free values, is
+        Each free variable counts as a set of one, after the given sets in
+        variable order.  The assignment maps each set's variables, in the
+        order given, to a strictly increasing tuple of basis indices; the
+        first nonzero one, ordered by the sorted values of each set, is
         returned with the alternated word's value there.  One signed pass
         walks the word from its innermost letter outward: a state is the
-        values each set has used plus the free values met, and carries
-        the integer value (scaled basis) of the suffix summed over every
-        way to reach it.  Placing value c of a set contributes
-        (-1)^(used values of that set above c), so a finished state
-        carries the sum over the set permutations at its values, up to
-        the sign of the order in which the word meets each set's
-        variables.  It raises once the states its steps create, counted
-        from the innermost letter's p on, pass the engine's budget."""
+        values each set has used, and carries the integer value (scaled
+        basis) of the suffix summed over every way to reach it.  Placing
+        value c of a set contributes (-1)^(used values of that set above
+        c), so a finished state carries the sum over the set permutations
+        at its values, up to the sign of the order in which the word
+        meets each set's variables.  It raises as soon as it has created
+        more states than the engine's budget, counted from the innermost
+        letter's p on."""
         engine = self.engine
         p, brackets, n = engine.p, engine.brackets, len(word)
+        in_sets = {v for vs in sets for v in vs}
+        sets += tuple((v,) for v in range(1, n + 1) if v not in in_sets)
         slot = {v: (s, i) for s, vs in enumerate(sets) for i, v in enumerate(vs)}
-        free = [v for v in range(1, n + 1) if v not in slot]
-        # a key holds bit s*p + c when set s has used value c, and the
-        # t-th free value met in the digit of width `width` above them
-        width, free_base = p.bit_length(), len(sets) * p
-        # per letter, innermost first: (key bits, mask of the set's larger
-        # values, c), and the letters' order signs
-        order_sign, met, digit, steps = 1, [[] for _ in sets], {}, []
-        for v in reversed(word):
-            if v in slot:
-                s, i = slot[v]
-                order_sign *= (-1) ** sum(j > i for j in met[s])
-                met[s].append(i)
-                low = s * p
-                steps.append([(1 << (low + c), ((1 << p) - (2 << c)) << low, c)
-                              for c in range(p)])
-            else:
-                digit[v] = free_base + len(digit) * width
-                steps.append([(c << digit[v], 0, c) for c in range(p)])
-        states = {bit: [int(l == c) for l in range(p)] for bit, _, c in steps[0]}
+        # a key holds bit low[s] + c when set s has used value c, the sets'
+        # p-bit fields in the order the walk meets them, so keys stay short
+        walk = [slot[v] for v in reversed(word)]
+        order_sign, met, low = 1, [[] for _ in sets], {}
+        for s, i in walk:
+            order_sign *= (-1) ** sum(j > i for j in met[s])
+            met[s].append(i)
+            low.setdefault(s, len(low) * p)
+        states = {1 << c: [int(l == c) for l in range(p)] for c in range(p)}
         created, budget = len(states), engine.tuple_budget
-        for branches in steps[1:]:
+        for s, _ in walk[1:]:
+            # (key bit, mask of the set's larger values, c)
+            branches = [(1 << (low[s] + c), ((1 << p) - (2 << c)) << low[s], c)
+                        for c in range(p)]
             nxt: dict[int, list[int]] = {}
             for key, value in states.items():
                 for bit, above, c in branches:
@@ -628,6 +623,11 @@ class _AlternatedChecker:
                     row = brackets[c]
                     acc = nxt.get(key | bit)
                     if acc is None:
+                        created += 1
+                        if created > budget:
+                            raise BudgetExceededError(
+                                "an alternation check walks more signed-pass "
+                                f"states than budget {count_text(budget)}")
                         acc = nxt[key | bit] = [0] * p
                     negate = (key & above).bit_count() & 1
                     for k, x in enumerate(value):
@@ -636,25 +636,19 @@ class _AlternatedChecker:
                                 x = -x
                             for l, y in row[k]:
                                 acc[l] += x * y
-            created += len(nxt)
-            if created > budget:
-                raise BudgetExceededError("an alternation check walks more signed-pass "
-                                          f"states than budget {count_text(budget)}")
             states = {key: acc for key, acc in nxt.items() if any(acc)}
             if not states:
                 return None
 
-        def values(key):  # (sorted values of each set, free values)
-            return (tuple(tuple(c for c in range(p) if key >> (s * p + c) & 1)
-                          for s in range(len(sets))),
-                    tuple((key >> digit[v]) & ((1 << width) - 1) for v in free))
+        # the sorted values of each set, read off its field of the key
+        used = cache(lambda field: tuple(c for c in range(p) if field >> c & 1))
+        fields, full = [low[s] for s in range(len(sets))], (1 << p) - 1
+
+        def values(key):
+            return tuple(used(key >> f & full) for f in fields)
 
         key = min(states, key=values)
-        set_vals, free_vals = values(key)
-        assign = {}
-        for s, vals in zip(sets, set_vals):
-            assign.update(zip(s, vals))
-        assign.update(zip(free, free_vals))
+        assign = {v: c for vs, vals in zip(sets, values(key)) for v, c in zip(vs, vals)}
         scale = Fraction(order_sign, engine.scale ** (n - 1))
         return assign, tuple(scale * x for x in states[key])
 

@@ -217,23 +217,15 @@ class AltSpec:
             seen |= s
 
 
-def signed_set_permutations(spec: AltSpec):
-    """All products of permutations of each set, as (mapping, sign) pairs."""
-    per_set = []
-    for s in spec.sets:
-        elems = sorted(s)
-        choices = []
-        for perm in itertools.permutations(range(1, len(elems) + 1)):
-            mapping = {v: elems[j - 1] for v, j in zip(elems, perm)}
-            choices.append((mapping, perm_sign(perm)))
-        per_set.append(choices)
-    for combo in itertools.product(*per_set):
-        mapping: dict[int, int] = {}
-        sign = 1
-        for m, s in combo:
-            mapping.update(m)
-            sign *= s
-        yield mapping, sign
+def stabilizer_perms(blocks: list[tuple[int, ...]], n: int):
+    """All permutations fixing each block setwise, as full degree-n perms."""
+    per_block = [list(itertools.permutations(b)) for b in blocks]
+    for combo in itertools.product(*per_block):
+        images = list(range(n + 1))  # index 0 unused
+        for block, perm in zip(blocks, combo):
+            for src, dst in zip(block, perm):
+                images[src] = dst
+        yield tuple(images[1:])
 
 
 def perm_sign(p: tuple[int, ...]) -> int:
@@ -256,12 +248,11 @@ def perm_sign(p: tuple[int, ...]) -> int:
 def alternate(f: MultilinearPolynomial, spec: AltSpec) -> MultilinearPolynomial:
     """Signed sum of f over all permutations inside each alternating set."""
     spec.validate(f.degree)
-    n = f.degree
-    images = (
-        (sign, permute({i: mapping.get(i, i) for i in range(1, n + 1)}, f))
-        for mapping, sign in signed_set_permutations(spec)
-    )
-    return linear_combination(n, images)
+    blocks = [tuple(sorted(s)) for s in spec.sets]
+    return linear_combination(f.degree, (
+        (perm_sign(sigma), permute(sigma, f))
+        for sigma in stabilizer_perms(blocks, f.degree)
+    ))
 
 
 def dim_Pn(n: int) -> int:

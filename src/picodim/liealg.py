@@ -205,16 +205,31 @@ def nilpotency_class(algebra: LieAlgebra, s: Subspace) -> int | None:
     return q
 
 
+def _is_nilpotent(algebra: LieAlgebra) -> bool:
+    """Whether the lower central series L, [L, L], [L, [L, L]], ... reaches
+    0; it stops where a term is no smaller than the one before."""
+    above, lower = algebra.dim, algebra.derived_subalgebra()
+    while 0 < lower.dim < above:
+        above, lower = lower.dim, Subspace.from_vectors(algebra.dim, [
+            algebra.bracket(algebra.basis_vector(i), v)
+            for i in range(algebra.dim) for v in lower.basis
+        ])
+    return lower.is_zero()
+
+
 def engel_subalgebra(algebra: LieAlgebra) -> Subspace | None:
     """An Engel subalgebra L_0(ad x) = ker (ad x)^(2^k), 2^k >= dim L, of
     least dimension over the candidates x, the basis vectors and then the
-    sums of two; None when each is all of L.
+    sums of two; None when each is all of L.  That is known before any
+    candidate when L is nilpotent: by Engel's theorem every ad x is.
 
     The search stops at the first nilpotent one: a nilpotent Engel
     subalgebra is a Cartan subalgebra, and its dimension, the rank of L,
     is the least an Engel subalgebra has.  Failing that it returns the
     first of least dimension, which still contains a Cartan subalgebra
     (Barnes 1967)."""
+    if _is_nilpotent(algebra):
+        return None
     p = algebra.dim
     best = None
     for x in chain(combinations(range(p), 1), combinations(range(p), 2)):

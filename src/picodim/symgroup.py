@@ -7,12 +7,17 @@ action on multilinear polynomials.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from math import factorial
 
 from .errors import MalformedInputError
-from .freelie import MultilinearPolynomial, linear_combination, perm_sign, permute
+from .freelie import (
+    MultilinearPolynomial,
+    linear_combination,
+    perm_sign,
+    permute,
+    stabilizer_perms,
+)
 
 Perm = tuple[int, ...]
 
@@ -175,27 +180,16 @@ class GroupAlgebraElement:
         )
 
 
-def _stabilizer_perms(groups: list[tuple[int, ...]], n: int):
-    """All permutations fixing each block setwise, as full degree-n perms."""
-    per_block = [list(itertools.permutations(g)) for g in groups]
-    for combo in itertools.product(*per_block):
-        images = list(range(n + 1))  # index 0 unused
-        for block, perm in zip(groups, combo):
-            for src, dst in zip(block, perm):
-                images[src] = dst
-        yield tuple(images[1:])
-
-
 def row_symmetrizer(t: YoungTableau) -> GroupAlgebraElement:
     n = t.shape.n
-    terms = {p: Fraction(1) for p in _stabilizer_perms(list(t.rows), n)}
+    terms = {p: Fraction(1) for p in stabilizer_perms(list(t.rows), n)}
     return GroupAlgebraElement(n, terms)
 
 
 def column_antisymmetrizer(t: YoungTableau) -> GroupAlgebraElement:
     n = t.shape.n
     terms = {
-        p: Fraction(perm_sign(p)) for p in _stabilizer_perms(t.columns(), n)
+        p: Fraction(perm_sign(p)) for p in stabilizer_perms(t.columns(), n)
     }
     return GroupAlgebraElement(n, terms)
 

@@ -7,7 +7,10 @@ symbolic Capelli check that the alternated-identity scan replaced, the
 family lister and a listed sample of drawn orderings for its sampled
 scan, the all-families stream that its one-family exact scan replaced,
 the permutation sum and the per-choice signed pass that its one signed
-pass replaced, the random centroid element that the joint-eigenspace
+pass replaced, the digit-keyed free letters and step-end budget charge
+that one-element sets and a charge per created state replaced, the
+signed set-permutation walk that the block-stabilizer walk replaced in
+`alternate`, the random centroid element that the joint-eigenspace
 split replaced, the multilinear tuple sweep, Young symmetrizer loop and
 Fraction elimination that multihomogeneous ranks replaced in exact
 codimensions and cocharacters, the `Evaluator` word-cache loop that the
@@ -42,9 +45,11 @@ from picodim.freelie import (
     MultilinearPolynomial,
     alternate,
     basis_Pn,
-    signed_set_permutations,
+    linear_combination,
+    perm_sign,
+    permute,
 )
-from picodim.errors import NotSemisimpleError, NotSplitError
+from picodim.errors import BudgetExceededError, NotSemisimpleError, NotSplitError
 from picodim.exponent import product_leaf, product_node
 from picodim.liealg import (
     StructureReport,
@@ -384,6 +389,94 @@ def choice_pass_find_nonzero(engine: CodimEngine, word, sets):
             assign.update(zip(free, free_vals))
             return assign, tuple(scale * x for x in states[key])
     return None
+
+
+def digit_key_find_nonzero(engine: CodimEngine, word, sets):
+    """Oracle for `_AlternatedChecker.find_nonzero`: the signed pass that
+    keyed each free letter by a value digit above the sets' used-value
+    bits, and charged a step's states to the budget only once the whole
+    step was built.  Returns (hit or None, states created)."""
+    p, brackets, n = engine.p, engine.brackets, len(word)
+    slot = {v: (s, i) for s, vs in enumerate(sets) for i, v in enumerate(vs)}
+    free = [v for v in range(1, n + 1) if v not in slot]
+    width, free_base = p.bit_length(), len(sets) * p
+    order_sign, met, digit, steps = 1, [[] for _ in sets], {}, []
+    for v in reversed(word):
+        if v in slot:
+            s, i = slot[v]
+            order_sign *= (-1) ** sum(j > i for j in met[s])
+            met[s].append(i)
+            low = s * p
+            steps.append([(1 << (low + c), ((1 << p) - (2 << c)) << low, c)
+                          for c in range(p)])
+        else:
+            digit[v] = free_base + len(digit) * width
+            steps.append([(c << digit[v], 0, c) for c in range(p)])
+    states = {bit: [int(l == c) for l in range(p)] for bit, _, c in steps[0]}
+    created, budget = len(states), engine.tuple_budget
+    for branches in steps[1:]:
+        nxt = {}
+        for key, value in states.items():
+            for bit, above, c in branches:
+                if key & bit:
+                    continue
+                acc = nxt.setdefault(key | bit, [0] * p)
+                sign = -1 if (key & above).bit_count() & 1 else 1
+                for k, x in enumerate(value):
+                    for l, y in brackets[c][k]:
+                        acc[l] += sign * x * y
+        created += len(nxt)
+        if created > budget:
+            raise BudgetExceededError("signed-pass states exceed the budget")
+        states = {key: acc for key, acc in nxt.items() if any(acc)}
+        if not states:
+            return None, created
+
+    def values(key):
+        return (tuple(tuple(c for c in range(p) if key >> (s * p + c) & 1)
+                      for s in range(len(sets))),
+                tuple((key >> digit[v]) & ((1 << width) - 1) for v in free))
+
+    key = min(states, key=values)
+    set_vals, free_vals = values(key)
+    assign = {}
+    for s, vals in zip(sets, set_vals):
+        assign.update(zip(s, vals))
+    assign.update(zip(free, free_vals))
+    scale = Fraction(order_sign, engine.scale ** (n - 1))
+    return (assign, tuple(scale * x for x in states[key])), created
+
+
+def signed_set_permutations(spec: AltSpec):
+    """All products of permutations of each set, as (mapping, sign) pairs:
+    the walk that `freelie.stabilizer_perms` replaced in `alternate`."""
+    per_set = []
+    for s in spec.sets:
+        elems = sorted(s)
+        choices = []
+        for perm in itertools.permutations(range(1, len(elems) + 1)):
+            mapping = {v: elems[j - 1] for v, j in zip(elems, perm)}
+            choices.append((mapping, perm_sign(perm)))
+        per_set.append(choices)
+    for combo in itertools.product(*per_set):
+        mapping: dict[int, int] = {}
+        sign = 1
+        for m, s in combo:
+            mapping.update(m)
+            sign *= s
+        yield mapping, sign
+
+
+def set_permutation_alternate(f: MultilinearPolynomial, spec: AltSpec) -> MultilinearPolynomial:
+    """Oracle for `freelie.alternate`: the signed sum of f over the
+    mappings of `signed_set_permutations`."""
+    spec.validate(f.degree)
+    n = f.degree
+    images = (
+        (sign, permute({i: mapping.get(i, i) for i in range(1, n + 1)}, f))
+        for mapping, sign in signed_set_permutations(spec)
+    )
+    return linear_combination(n, images)
 
 
 def permutation_find_nonzero(evaluator: Evaluator, word, sets):

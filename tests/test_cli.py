@@ -302,6 +302,17 @@ def test_bad_catalog_argument_keeps_the_catalog_reason():
         assert reason in payload["message"]
 
 
+def test_unreadable_algebra_path_is_malformed_input(tmp_path):
+    # a directory and a file that is not UTF-8 exit 2, naming the path
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    for source in (str(tmp_path), str(bad)):
+        code, payload = invoke_json("analyze", source, "--no-cache")
+        assert code == 2
+        assert payload["error"] == "malformed-input"
+        assert source in payload["message"]
+
+
 def test_hypothesis_failure_exit_code():
     code, payload = invoke_json("analyze", "solvable2", "--no-cache")
     assert code == 3
@@ -853,16 +864,20 @@ _required = {"--n", "--t", "--max-n"}  # passed unless omitted, so n stays <= 5
 @example(data=None, algebra={"dim": 2, "brackets": {"1,2": 5}})
 @example(data=None, algebra={"dim": 2, "brackets": {"1,2": [["1", "x"]]}})
 def test_cli_fuzz_exits_cleanly_with_json(tmp_path, data, algebra):
-    # random argv over random algebra JSON files and small catalog
-    # algebras: every run exits 0, 2, 3, 4 or 5 and prints JSON
+    # random argv over random algebra JSON files, small catalog algebras,
+    # a directory and a file that is not UTF-8: every run exits 0, 2, 3,
+    # 4 or 5 and prints JSON
     path = tmp_path / "algebra.json"
     path.write_text(json.dumps(algebra))
+    unreadable = tmp_path / "utf16.json"
+    unreadable.write_bytes(b"\xff\xfe{}")
     if data is None:  # an explicit example: validate the file
         command, source, argv = "validate", str(path), []
     else:
         command = data.draw(st.sampled_from(sorted(_options)))
         source = data.draw(st.just(str(path)) | st.sampled_from(
-            ["sl2", "gl2", "heisenberg3", "solvable2", "abelian(2)"]
+            ["sl2", "gl2", "heisenberg3", "solvable2", "abelian(2)",
+             str(tmp_path), str(unreadable)]
         ))
         # now and then leave out a required option: a usage error
         omit = data.draw(st.sampled_from(

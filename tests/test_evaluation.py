@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 from math import factorial
 
@@ -45,6 +46,7 @@ from helpers import (
     ad_nilpotent_sl2_plus_sl2,
     all_families_scan,
     choice_pass_find_nonzero,
+    digit_key_find_nonzero,
     evaluator_sampled_columns,
     exact_duplicate_span,
     integer_slice,
@@ -887,11 +889,11 @@ def test_find_nonzero_is_invariant_under_relabelling(engine_for):
     assert verdicts == 900 and hits > 300
 
 
-def test_find_nonzero_matches_permutation_oracle(engine_for):
-    # the signed pass returns the permutation sum's first hit, value
-    # included, or None with it: every catalog algebra to n = 5, two
-    # base changes each (scaled brackets, D > 1) and sl2 over Q(sqrt 2)
-    # to n = 4, on a random slice of every (n, r, k) cell with r <= dim L
+def _find_nonzero_gate(engine_for):
+    """(engine, [(word, sets)]) for every catalog algebra to n = 5, two
+    base changes each (scaled brackets, D > 1) and sl2 over Q(sqrt 2) to
+    n = 4, on a random slice of every (n, r, k) cell with r <= dim L,
+    with the sets' variables in the given order and then reversed."""
     rng = random.Random(8)
     cases = [(engine_for(name), 5) for name in CATALOG_NAMES]
     for name in CATALOG_NAMES:
@@ -901,24 +903,80 @@ def test_find_nonzero_matches_permutation_oracle(engine_for):
             cases.append((CodimEngine(moved), 4))
     cases.append((CodimEngine(sl2_over_sqrt2()), 4))
     assert sum(engine.scale > 1 for engine, _ in cases) >= 10
-    outcomes = []
     for engine, n_max in cases:
-        checker, evaluator = _AlternatedChecker(engine), Evaluator(engine.algebra)
+        calls = []
         for n in range(1, n_max + 1):
             words = basis_Pn(n)
             for r in range(1, min(engine.algebra.dim, n) + 1):
                 for k in range(1, n // r + 1):
                     assignments = list(_set_assignments(n, r, k))
                     for sets in rng.sample(assignments, min(3, len(assignments))):
-                        # the sets' variables in the given order, then reversed
                         for order in (sets, tuple(s[::-1] for s in sets)):
-                            for word in rng.sample(words, min(3, len(words))):
-                                found = checker.find_nonzero(word, order)
-                                assert found == permutation_find_nonzero(
-                                    evaluator, word, order
-                                ), (engine.algebra.labels, word, order)
-                                outcomes.append(found is not None)
+                            calls += [(word, order) for word in
+                                      rng.sample(words, min(3, len(words)))]
+        yield engine, calls
+
+
+def test_find_nonzero_matches_permutation_oracle(engine_for):
+    # the signed pass returns the permutation sum's first hit, value
+    # included, or None with it
+    outcomes = []
+    for engine, calls in _find_nonzero_gate(engine_for):
+        checker, evaluator = _AlternatedChecker(engine), Evaluator(engine.algebra)
+        for word, order in calls:
+            found = checker.find_nonzero(word, order)
+            assert found == permutation_find_nonzero(
+                evaluator, word, order
+            ) == digit_key_find_nonzero(engine, word, order)[0], (
+                engine.algebra.labels, word, order)
+            outcomes.append(found is not None)
     assert sum(outcomes) > 1000 and outcomes.count(False) > 200
+
+
+def test_find_nonzero_refuses_where_the_digit_key_pass_did(engine_for):
+    # free letters as sets of one create the states of the pass that keyed
+    # them by a value digit, one for one: with the budget at that pass's
+    # state count both answer, and one below both refuse (n >= 2), on the
+    # gate's engines of dim <= 5 (the dim-6 ones cost ~4 s a pass)
+    def refusal(find, *args):
+        try:
+            return find(*args)
+        except BudgetExceededError:
+            return "refused"
+
+    def digit_key_hit(*args):
+        return digit_key_find_nonzero(*args)[0]
+
+    refusals = 0
+    for engine, calls in _find_nonzero_gate(engine_for):
+        if engine.p > 5:
+            continue
+        for word, order in calls:
+            found, created = digit_key_find_nonzero(engine, word, order)
+            capped = CodimEngine(engine.algebra, tuple_budget=created)
+            assert _AlternatedChecker(capped).find_nonzero(word, order) == found
+            capped.tuple_budget -= 1
+            refused = refusal(_AlternatedChecker(capped).find_nonzero, word, order)
+            assert refused == refusal(digit_key_hit, capped, word, order)
+            assert (refused == "refused") == (len(word) > 1), (word, order)
+            refusals += refused == "refused"
+    assert refusals > 3500
+
+
+def test_find_nonzero_charges_each_state_as_it_is_created():
+    # abelian(300), t = 1, n = 2: one step would build 300^2 states of 300
+    # entries (~200 MB) before a bound charged after the step; counted as
+    # each is created, the check is refused after budget - 300 + 1 of them
+    engine = CodimEngine(catalog_algebra("abelian(300)"), tuple_budget=1000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError) as err:
+            engine.capelli_holds(1, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert err.value.required is None
+    assert peak < 8 * 2**20
 
 
 def test_find_nonzero_matches_choice_pass_and_permutation_oracles(engine_for):

@@ -3,6 +3,8 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from picodim import AltSpec, MultilinearPolynomial, alternate, basis_Pn, permute, rewrite
 from picodim.errors import MalformedInputError
@@ -16,7 +18,7 @@ from picodim.freelie import (
 from picodim.liealg import catalog_algebra
 from picodim.linalg import is_zero_vec
 
-from helpers import eval_tree, random_tree
+from helpers import eval_tree, random_tree, set_permutation_alternate
 
 
 def test_basis_sizes():
@@ -175,6 +177,23 @@ def test_alternate_sign_flip_inside_set():
         g = alternate(f, spec)
         swapped = permute({1: 2, 2: 1, 3: 3, 4: 4}, g)
         assert swapped.terms == g.scale(Fraction(-1)).terms
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_alternate_matches_set_permutation_oracle(data):
+    # the block-stabilizer walk against the signed set-permutation walk it
+    # replaced: a random polynomial of degree <= 5, alternated on the
+    # leading blocks of a random ordering of x_1..x_n cut at random
+    n = data.draw(st.integers(1, 5))
+    terms = data.draw(st.dictionaries(st.sampled_from(basis_Pn(n)),
+                                      st.integers(-3, 3), max_size=4))
+    f = MultilinearPolynomial(n, {w: Fraction(c) for w, c in terms.items()})
+    order = data.draw(st.permutations(range(1, n + 1)))
+    cuts = sorted(data.draw(st.lists(st.integers(0, n), max_size=4)))
+    blocks = [order[a:b] for a, b in zip([0] + cuts, cuts + [n])]
+    spec = AltSpec.of(*blocks[:data.draw(st.integers(0, len(blocks)))])
+    assert alternate(f, spec).terms == set_permutation_alternate(f, spec).terms
 
 
 def test_alternate_rejects_overlapping_sets():

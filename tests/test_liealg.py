@@ -500,6 +500,17 @@ def _normalizer(algebra, s: Subspace) -> Subspace:
     return kernel(tuple(rows), algebra.dim)
 
 
+def test_engel_subalgebra_of_a_nilpotent_algebra_tries_no_candidate(monkeypatch):
+    # Engel's theorem makes every candidate of a nilpotent L all of L, so
+    # None is known from the lower central series, before any ad power
+    def forbidden(*args):
+        raise AssertionError("an ad power was taken")
+
+    monkeypatch.setattr(liealg, "mat_mul", forbidden)
+    for name in ("heisenberg3", "abelian3", "abelian(200)"):
+        assert engel_subalgebra(catalog_algebra(name)) is None, name
+
+
 def test_engel_subalgebra_is_a_cartan_subalgebra():
     # none in a nilpotent L, where every ad x is nilpotent; elsewhere the
     # first nilpotent Engel subalgebra, which is self-normalising, so a
